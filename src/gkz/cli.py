@@ -17,9 +17,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .configs import (
+    CATALOG_NAMES,
     PointConfiguration,
     catalog,
-    to_standard_form,
+    chart_of,
+    entry_of,
     validate_configuration,
 )
 from .errors import (
@@ -203,12 +205,7 @@ def config_to_json(config: PointConfiguration) -> dict:
         "matrix": [list(row) for row in config.matrix],
         "params": [],
     }
-    ent = None
-    try:
-        if config.name:
-            ent = catalog(config.name)
-    except UnknownName:
-        ent = None
+    ent = entry_of(config)
     if ent is not None and ent.classical is not None:
         model = ent.classical
         for i, row in enumerate(model.beta_matrix):
@@ -292,16 +289,22 @@ def _parse_cycle(text: str):
     return tuple(axes)
 
 
-def _source_of(args) -> str:
+def _source_of(args, default=None) -> str:
     src = getattr(args, "source", None)
     cat = getattr(args, "catalog", None)
     if src and cat:
         raise UsageError("give either a positional source or --catalog")
-    if src:
-        return src
-    if cat:
-        return cat
-    raise UsageError("a configuration source is required")
+    source = src or cat or default
+    if source is None:
+        raise UsageError("a configuration source is required")
+    return source
+
+
+def _cycle_of(text, r: int):
+    """The given cycle, else one positive axis per chart variable."""
+    if text:
+        return _parse_cycle(text)
+    return tuple(positive_axis() for _ in range(r))
 
 
 def _settings(args) -> QuadratureSettings:
@@ -322,16 +325,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gkz", description="toric hypergeometric toolkit")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name, help_text, source=True):
-        p = sub.add_parser(name, help=help_text)
-        if source:
-            p.add_argument("source", nargs="?", help="file path or catalog name")
-            p.add_argument("--catalog", help="catalog name")
-        p.add_argument("--out", help="write output to this path")
-        p.add_argument(
-            "--format", choices=("json", "text"), default="json"
-        )
+    def output(p, out_help=None):
+        p.add_argument("--out", help=out_help)
+        p.add_argument("--format", choices=("json", "text"), default="json")
         return p
+
+    def add(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("source", nargs="?", help="file path or catalog name")
+        p.add_argument("--catalog", help="catalog name")
+        return output(p, "write output to this path")
 
     add("catalog", "list catalog entries or emit one configuration")
     p = add("validate", "validate a configuration")
@@ -356,12 +359,10 @@ def build_parser() -> _Parser:
     vsub = v.add_subparsers(dest="target", metavar="target")
     vp = vsub.add_parser("pfaff", help="series reflection identity")
     vp.add_argument("--samples", type=int, default=10)
-    vp.add_argument("--out")
-    vp.add_argument("--format", choices=("json", "text"), default="json")
+    output(vp)
     vq = vsub.add_parser("quadric", help="half-turn phase identities")
     vq.add_argument("--tol", type=float, default=None)
-    vq.add_argument("--out")
-    vq.add_argument("--format", choices=("json", "text"), default="json")
+    output(vq)
     vd = vsub.add_parser("pde", help="annihilation by the toric system")
     vd.add_argument("source", nargs="?")
     vd.add_argument("--catalog")
@@ -369,8 +370,7 @@ def build_parser() -> _Parser:
     vd.add_argument("--x", default=None)
     vd.add_argument("--cycle", default=None)
     vd.add_argument("--tol", type=float, default=None)
-    vd.add_argument("--out")
-    vd.add_argument("--format", choices=("json", "text"), default="json")
+    output(vd)
     vb = vsub.add_parser("binomial", help="finite binomial-sum identity")
     vb.add_argument("source", nargs="?")
     vb.add_argument("--catalog")
@@ -382,8 +382,7 @@ def build_parser() -> _Parser:
         help="shift t (default 1 for the quadric, 0.4 for the square)",
     )
     vb.add_argument("--tol", type=float, default=None)
-    vb.add_argument("--out")
-    vb.add_argument("--format", choices=("json", "text"), default="json")
+    output(vb)
     vg = vsub.add_parser("group", help="every group element as an identity")
     vg.add_argument("source", nargs="?")
     vg.add_argument("--catalog")
@@ -392,12 +391,9 @@ def build_parser() -> _Parser:
         "--evaluator", choices=("classical", "integral"), default=None
     )
     vg.add_argument("--tol", type=float, default=None)
-    vg.add_argument("--out")
-    vg.add_argument("--format", choices=("json", "text"), default="json")
+    output(vg)
 
-    f = sub.add_parser("f4-report", help="non-existence certificate")
-    f.add_argument("--out")
-    f.add_argument("--format", choices=("json", "text"), default="json")
+    output(sub.add_parser("f4-report", help="non-existence certificate"))
     return parser
 
 
@@ -405,29 +401,10 @@ def build_parser() -> _Parser:
 # subcommand implementations
 # ==========================================================================
 
-_PDE_DEFAULTS = {
-    "gauss": ((-0.9, -0.35, -0.45), (1.0, 0.8, 1.2, 0.4), "pos,pos"),
-    "quadric": ((-0.7, -0.2), (2.0, 1.0, 3.0), "real"),
-    "square": ((-1.7, -0.3, -0.5), (1.0, 1.1, 1.3, 0.715), "pos,pos"),
-}
-
-
 def _cmd_catalog(args):
-    src = getattr(args, "source", None) or getattr(args, "catalog", None)
+    src = _source_of(args, default="")
     if not src:
-        names = [
-            "appell_f4",
-            "gauss",
-            "lauricella_fc(1)",
-            "lauricella_fc(2)",
-            "lauricella_fc(3)",
-            "pfq(1)",
-            "pfq(2)",
-            "pfq(3)",
-            "quadric",
-            "square",
-        ]
-        return {"entries": names}, 0
+        return {"entries": list(CATALOG_NAMES)}, 0
     return config_to_json(load_config(src)), 0
 
 
@@ -458,16 +435,7 @@ def _cmd_xi(args):
 
 def _cmd_standard_form(args):
     config = load_config(_source_of(args))
-    ent = None
-    try:
-        if config.name:
-            ent = catalog(config.name)
-    except UnknownName:
-        ent = None
-    if ent is not None:
-        sf = ent.standard_form(args.m)
-    else:
-        sf = to_standard_form(config, args.m)
+    sf = chart_of(config, args.m)
     return {
         "name": config.name or "",
         "m": sf.m,
@@ -495,18 +463,8 @@ def _cmd_eval(args):
     config = load_config(_source_of(args))
     beta = _parse_numbers(args.beta, "beta")
     x = _parse_numbers(args.x, "x")
-    ent = None
-    try:
-        if config.name:
-            ent = catalog(config.name)
-    except UnknownName:
-        ent = None
-    sf = ent.standard_form(args.m) if ent else to_standard_form(config, args.m)
-    cycle = (
-        _parse_cycle(args.cycle)
-        if args.cycle
-        else tuple(positive_axis() for _ in range(sf.r))
-    )
+    sf = chart_of(config, args.m)
+    cycle = _cycle_of(args.cycle, sf.r)
     if args.u:
         try:
             u = tuple(int(tok.strip()) for tok in args.u.split(","))
@@ -542,24 +500,24 @@ def _cmd_verify(args):
             verify_quadric_multivaluedness(settings=_settings(args))
         )
     if args.target == "pde":
-        src = getattr(args, "source", None) or getattr(args, "catalog", None)
-        src = src or "gauss"
-        config = load_config(src)
-        key = config.name if config.name in _PDE_DEFAULTS else None
-        if args.beta is None or args.x is None:
-            if key is None:
+        if (args.beta is None) != (args.x is None):
+            raise UsageError("give both --beta and --x, or neither")
+        config = load_config(_source_of(args, "gauss"))
+        if args.beta is None:
+            ent = entry_of(config)
+            sample = ent.pde_sample if ent else None
+            if sample is None:
                 raise UsageError(
                     "--beta and --x are required for configurations "
                     "without built-in samples"
                 )
-            beta, x, cyc_text = _PDE_DEFAULTS[key]
+            beta, x = sample.beta, sample.x
+            cycle = _parse_cycle(args.cycle or sample.cycle)
         else:
             beta = _parse_numbers(args.beta, "beta")
             x = _parse_numbers(args.x, "x")
-            cyc_text = args.cycle or "pos"
-        if args.cycle:
-            cyc_text = args.cycle
-        cycle = _parse_cycle(cyc_text)
+            # verify_pde works in the one-block chart: r = d - 1
+            cycle = _cycle_of(args.cycle, config.d - 1)
         report = verify_pde(config, beta, x, cycle, settings=_settings(args))
         return _report_result(report)
     if args.target == "binomial":
@@ -570,61 +528,34 @@ def _cmd_verify(args):
 
 
 def _binomial_report(args):
-    src = getattr(args, "source", None) or getattr(args, "catalog", None)
-    src = src or "quadric"
-    config = load_config(src)
-    n_ord = args.n
-    t = args.shift
-    cycle = None
-    var_index = 1
-    if config.name == "quadric":
-        ent = catalog("quadric")
-        sf = ent.standard_form(1)
-        t = 1.0 if t is None else t
-        beta = (-2.6, -float(n_ord))
-        xs = [(3.0, 1.0, 2.0), (2.0, 0.8, 1.5), (2.5, 0.4, 1.1)]
-    elif config.name == "square":
-        ent = catalog("square")
-        sf = ent.standard_form(1)
-        # On any line cycle both sides vanish identically (the zero set
-        # of the bilinear f never separates a translation-invariant
-        # contour), so the shifted variable runs over the unit circle
-        # instead, with an integer block exponent to keep the integrand
-        # single valued.  Shifting w2 keeps the circle on the cheap
-        # inner axis; samples keep the w2 zero inside radius 0.5 so the
-        # shifted contour stays admissible.
-        var_index = 2
-        t = 0.4 if t is None else t
-        beta = (-2.0, -float(n_ord), -0.1)
-        cycle = (positive_axis(), unit_circle())
-        xs = [
-            (0.3, 0.2j, 1.0, 1.0),
-            (0.4, 0.1 + 0.2j, 1.0, 0.8),
-            (0.2, -0.3j, 1.2, 1.0),
-        ]
-    else:
+    config = load_config(_source_of(args, "quadric"))
+    ent = entry_of(config)
+    sample = ent.binomial_sample if ent else None
+    if sample is None:
         raise UsageError(
-            "binomial verification ships samples for the quadric and "
-            "square entries only"
+            f"{config.name or 'the configuration'} has no built-in "
+            "binomial sample"
         )
-    auto = elementary_pullback(sf, var_index, t)
-    identity = binomial_expansion_identity(sf, auto, beta, n_ord)
-    grid = SampleGrid(points=tuple((beta, x) for x in xs))
+    sf = ent.standard_form(1)
+    t = sample.shift if args.shift is None else args.shift
+    beta = sample.beta_for(args.n)
+    cycle = _parse_cycle(sample.cycle) if sample.cycle else None
+    auto = elementary_pullback(sf, sample.variable, t)
+    identity = binomial_expansion_identity(sf, auto, beta, args.n)
+    grid = SampleGrid(points=tuple((beta, x) for x in sample.xs))
     return verify_binomial_identity(
         identity, grid, settings=_settings(args), cycle=cycle
     )
 
 
 def _group_report(args):
-    src = getattr(args, "source", None) or getattr(args, "catalog", None)
-    src = src or "square"
-    config = load_config(src)
+    config = load_config(_source_of(args, "square"))
     group = find_symmetries(config)
-    evaluator = args.evaluator
-    if evaluator is None:
-        ent_name = config.name or ""
-        evaluator = "integral" if ent_name == "quadric" else "classical"
-    grid = SampleGrid.for_entry(config.name, count=args.samples)
+    ent = entry_of(config)
+    if ent is None:
+        raise UnknownName("configuration is not in the catalog")
+    evaluator = args.evaluator or ent.group_evaluator
+    grid = SampleGrid.for_entry(ent, count=args.samples)
     reports = []
     all_pass = True
     for sym in group:

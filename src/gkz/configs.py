@@ -7,12 +7,12 @@ every column has degree one, so conv(A) is a lattice polytope of dimension
 d - 1 sitting at height one inside the cone R+.A.
 """
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import lattice
 from .errors import (
@@ -109,18 +109,6 @@ def validate_configuration(matrix, name: Optional[str] = None) -> PointConfigura
         )
     xi = compute_xi(mat)
     return PointConfiguration(matrix=mat, xi=xi, name=name)
-
-
-def lattice_representation(config: PointConfiguration) -> IntMatrix:
-    """Integer n x d matrix M with A.M = I, expressing e_i in the columns."""
-    cols = []
-    for i in range(config.d):
-        e = tuple(1 if k == i else 0 for k in range(config.d))
-        sol = lattice.solve_integer(config.matrix, e)
-        if sol is None:
-            raise LatticeNotSpanned("standard basis vector not representable")
-        cols.append(sol)
-    return lattice.transpose(cols)
 
 
 def _independent_column_subset(mat) -> Optional[tuple[int, ...]]:
@@ -369,6 +357,49 @@ def _solve_numeric(lin, rhs):
 
 
 @dataclass(frozen=True)
+class PdeSample:
+    """Default point of `gkz verify pde`; the cycle is in CLI tokens."""
+
+    beta: tuple
+    x: tuple
+    cycle: str
+
+
+@dataclass(frozen=True)
+class BinomialSample:
+    """Default inputs of `gkz verify binomial` in the one-block chart.
+
+    beta holds None at the pole slot, which takes -n for pole order n;
+    chart variable `variable` (1-based) is shifted by `shift`.  cycle is
+    in CLI tokens, or None for the verifier's default.
+    """
+
+    variable: int
+    shift: float
+    beta: tuple
+    xs: tuple
+    cycle: Optional[str] = None
+
+    def beta_for(self, n: int) -> tuple:
+        return tuple(-float(n) if b is None else b for b in self.beta)
+
+
+@dataclass(frozen=True)
+class GroupGrid:
+    """Default group-check grid: beta fixed, xs(count) the x points."""
+
+    beta: tuple
+    xs: Callable[[int], list]
+
+
+def _spread(lo, hi, count):
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    return [lo + step * k for k in range(count)]
+
+
+@dataclass(frozen=True)
 class CatalogEntry:
     """Named configuration with an optional classical dictionary."""
 
@@ -379,6 +410,10 @@ class CatalogEntry:
     # preferred row transforms per block count; fixes the chart (variable
     # ordering and signs) used by integral evaluation and worked examples
     charts: dict = field(default_factory=dict)
+    pde_sample: Optional[PdeSample] = None
+    binomial_sample: Optional[BinomialSample] = None
+    group_grid: Optional[GroupGrid] = None
+    group_evaluator: str = "classical"
 
     def standard_form(self, m: int = 1) -> StandardForm:
         if m in self.charts:
@@ -415,6 +450,14 @@ def _gauss_entry() -> CatalogEntry:
             # m=2: blocks {x1, x2}, {x3, x4}; f1 = x1 + x2 w, f2 = x3 + x4 w
             2: ((1, 1, 0), (0, 0, 1), (0, 1, 0)),
         },
+        pde_sample=PdeSample((-0.9, -0.35, -0.45), (1.0, 0.8, 1.2, 0.4), "pos,pos"),
+        group_grid=GroupGrid(
+            (0.7, -0.3, -0.5),  # (a, b, c) = (0.3, 0.5, 1.7)
+            lambda count: [
+                (1.0, 1.1, 1.3, ratio * 1.1 * 1.3)
+                for ratio in _spread(0.08, 0.44, count)
+            ],
+        ),
     )
 
 
@@ -433,6 +476,18 @@ def _quadric_entry() -> CatalogEntry:
         classical=model,
         prefactor="integral of (x1 + x2 z + x3 z^2)^b1 z^(-b2) dz/z",
         charts={1: ((1, 0), (0, 1))},
+        pde_sample=PdeSample((-0.7, -0.2), (2.0, 1.0, 3.0), "real"),
+        binomial_sample=BinomialSample(
+            variable=1,
+            shift=1.0,
+            beta=(-2.6, None),
+            xs=((3.0, 1.0, 2.0), (2.0, 0.8, 1.5), (2.5, 0.4, 1.1)),
+        ),
+        group_grid=GroupGrid(
+            (-0.6, -0.35),
+            lambda count: [(1.0, mid, 1.0) for mid in _spread(0.2, 1.2, count)],
+        ),
+        group_evaluator="integral",
     )
 
 
@@ -457,6 +512,34 @@ def _square_entry() -> CatalogEntry:
         prefactor="x1^(a+b-c) x2^(-b) x3^(-a) * 2F1(a, b; c; 1 - x1 x4 / (x2 x3))",
         # chart with f = x1 + x2 w1 + x3 w2 + x4 w1 w2
         charts={1: ((1, 0, 0), (0, 0, 1), (0, 1, 0))},
+        pde_sample=PdeSample(
+            (-1.7, -0.3, -0.5), (1.0, 1.1, 1.3, 0.715), "pos,pos"
+        ),
+        # On any line cycle both sides vanish identically (the zero set of
+        # the bilinear f never separates a translation-invariant contour),
+        # so the shifted variable runs over the unit circle instead, with
+        # an integer block exponent to keep the integrand single valued.
+        # Shifting w2 keeps the circle on the cheap inner axis; samples
+        # keep the w2 zero inside radius 0.5 so the shifted contour stays
+        # admissible.
+        binomial_sample=BinomialSample(
+            variable=2,
+            shift=0.4,
+            beta=(-2.0, None, -0.1),
+            xs=(
+                (0.3, 0.2j, 1.0, 1.0),
+                (0.4, 0.1 + 0.2j, 1.0, 0.8),
+                (0.2, -0.3j, 1.2, 1.0),
+            ),
+            cycle="pos,circle",
+        ),
+        group_grid=GroupGrid(
+            (-1.7, -0.3, -0.5),
+            lambda count: [
+                (1.0, 1.1, 1.3, (1 - arg) * 1.1 * 1.3)
+                for arg in _spread(0.08, 0.44, count)
+            ],
+        ),
     )
 
 
@@ -503,30 +586,54 @@ def _fc_entry(m: int) -> CatalogEntry:
         prefactor_exponents=_fracrows(pref),
         arguments=args,
     )
+    grid = None
+    if m in _FC_GROUP_GRIDS:
+        params, xs = _FC_GROUP_GRIDS[m]
+        beta = tuple(float(v) for v in model.beta_from_params(params))
+        grid = GroupGrid(beta, xs)
     return CatalogEntry(
         name=name,
         config=config,
         classical=model,
         prefactor="prod x_{1+i}^(c_i-1) x1^(-a) x_{m+2}^(-b) * FC(a, b; c; ratios)",
+        group_grid=grid,
     )
+
+
+# m -> (parameters, x points) of the default group grids of lauricella_fc(m)
+_FC_GROUP_GRIDS = {
+    1: (
+        {"a": 0.3, "b": 0.5, "c1": 1.7},
+        lambda count: [(1.0, 1.0, 1.0, y) for y in _spread(0.1, 0.45, count)],
+    ),
+    2: (
+        {"a": 0.31, "b": 0.74, "c1": 1.2, "c2": 0.85},
+        lambda count: [
+            (1.0,) * 4 + (0.04 + 0.015 * k, 0.08 + 0.02 * k)
+            for k in range(count)
+        ],
+    ),
+    3: (
+        {"a": 0.31, "b": 0.74, "c1": 1.2, "c2": 0.85, "c3": 1.4},
+        lambda count: [
+            (1.0,) * 5 + (0.03 + 0.01 * k, 0.05 + 0.008 * k, 0.04 + 0.012 * k)
+            for k in range(count)
+        ],
+    ),
+}
 
 
 def _f4_entry() -> CatalogEntry:
     base = _fc_entry(2)
-    model = ClassicalModel(
-        series="f4",
-        param_names=("a", "b", "c", "cp"),
-        beta_matrix=base.classical.beta_matrix,
-        prefactor_exponents=base.classical.prefactor_exponents,
-        arguments=base.classical.arguments,
-    )
-    config = PointConfiguration(
-        matrix=base.config.matrix, xi=base.config.xi, name="appell_f4"
-    )
-    return CatalogEntry(
+    # everything but the names is lauricella_fc(2)'s; its group grid holds
+    # because c, cp take the values of c1, c2
+    return replace(
+        base,
         name="appell_f4",
-        config=config,
-        classical=model,
+        config=replace(base.config, name="appell_f4"),
+        classical=replace(
+            base.classical, series="f4", param_names=("a", "b", "c", "cp")
+        ),
         prefactor=(
             "x2^(c-1) x3^(cp-1) x1^(-a) x4^(-b) * "
             "F4(a, b; c, cp; x2 x5/(x1 x4), x3 x6/(x1 x4))"
@@ -549,28 +656,64 @@ def _pfq_entry(p: int) -> CatalogEntry:
     )
 
 
+# name -> (builder, members): a family's builder takes the m of "name(m)"
+# and the catalog lists its members; a plain entry has members None
+_REGISTRY = {
+    "appell_f4": (_f4_entry, None),
+    "gauss": (_gauss_entry, None),
+    "lauricella_fc": (_fc_entry, (1, 2, 3)),
+    "pfq": (_pfq_entry, (1, 2, 3)),
+    "quadric": (_quadric_entry, None),
+    "square": (_square_entry, None),
+}
+
+CATALOG_NAMES = tuple(
+    sorted(
+        base if m is None else f"{base}({m})"
+        for base, (_, members) in _REGISTRY.items()
+        for m in members or (None,)
+    )
+)
+
 _CATALOG_PATTERN = re.compile(r"^([a-z0-9_]+)(?:\((\d+)\))?$")
 
 
+@functools.cache
 def catalog(name: str) -> CatalogEntry:
     """Look up a named configuration, e.g. 'gauss' or 'lauricella_fc(3)'."""
     m = _CATALOG_PATTERN.match(name.strip())
     if m is None:
         raise UnknownName(f"cannot parse catalog name {name!r}")
     base, arg = m.group(1), m.group(2)
-    if base == "gauss" and arg is None:
-        return _gauss_entry()
-    if base == "quadric" and arg is None:
-        return _quadric_entry()
-    if base == "square" and arg is None:
-        return _square_entry()
-    if base == "appell_f4" and arg is None:
-        return _f4_entry()
-    if base == "lauricella_fc" and arg is not None:
-        return _fc_entry(int(arg))
-    if base == "pfq" and arg is not None:
-        return _pfq_entry(int(arg))
-    raise UnknownName(f"unknown catalog name {name!r}")
+    builder, members = _REGISTRY.get(base, (None, None))
+    if builder is None or (members is None) != (arg is None):
+        raise UnknownName(f"unknown catalog name {name!r}")
+    return builder() if arg is None else builder(int(arg))
+
+
+def entry_of(config: PointConfiguration) -> Optional[CatalogEntry]:
+    """The catalog entry whose matrix is config.matrix, or None.
+
+    The entry named like config wins, since appell_f4 and
+    lauricella_fc(2) share a matrix; otherwise the first listed one.
+    """
+    try:
+        named = catalog(config.name) if config.name else None
+    except UnknownName:
+        named = None
+    if named is not None and named.config.matrix == config.matrix:
+        return named
+    return next(
+        (ent for ent in map(catalog, CATALOG_NAMES)
+         if ent.config.matrix == config.matrix),
+        None,
+    )
+
+
+def chart_of(config: PointConfiguration, m: int = 1) -> StandardForm:
+    """Standard form with m blocks, in the catalog's chart where it has one."""
+    ent = entry_of(config)
+    return ent.standard_form(m) if ent else to_standard_form(config, m)
 
 
 # ==========================================================================

@@ -38,11 +38,6 @@ def mat_vec(a, v) -> tuple:
     return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
 
 
-def vec_mat(v, a) -> tuple:
-    assert len(a) == len(v)
-    return tuple(sum(v[k] * a[k][j] for k in range(len(v))) for j in range(len(a[0])))
-
-
 def transpose(a) -> IntMatrix:
     return tuple(zip(*a))
 

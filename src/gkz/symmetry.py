@@ -6,7 +6,6 @@ These form a finite group: T is determined by the images of any column
 basis, so the search space is bounded by ordered d-tuples of columns.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,16 +188,6 @@ def _complete_from_basis_images(config, cols, basis, images) -> Optional[Polytop
     return PolytopeSymmetry(
         config=config, t_matrix=t, perm=tuple(perm), det_sign=1 if det > 0 else -1
     )
-
-
-def _find_symmetries_exhaustive(config: PointConfiguration) -> "SymmetryGroup":
-    """Reference n! enumeration; only sensible for n <= 7."""
-    found = []
-    for perm in itertools.permutations(range(config.n)):
-        sym = solve_T_for_permutation(config, perm)
-        if sym is not None:
-            found.append(sym)
-    return SymmetryGroup.from_elements(config, found)
 
 
 def compose(first: PolytopeSymmetry, second: PolytopeSymmetry) -> PolytopeSymmetry:

@@ -19,7 +19,8 @@ from .configs import (
     CatalogEntry,
     PointConfiguration,
     catalog,
-    to_standard_form,
+    chart_of,
+    entry_of,
 )
 from .errors import FitUnstable, UnknownName, UnsupportedParameters
 from .evaluate import (
@@ -159,94 +160,13 @@ class SampleGrid:
 
     @staticmethod
     def for_entry(entry, count: int = 6) -> "SampleGrid":
-        name = entry.name if isinstance(entry, CatalogEntry) else str(entry)
-        pts = []
-        if name == "gauss":
-            beta = (0.7, -0.3, -0.5)  # (a, b, c) = (0.3, 0.5, 1.7)
-            for ratio in _spread(0.08, 0.44, count):
-                pts.append((beta, (1.0, 1.1, 1.3, ratio * 1.1 * 1.3)))
-        elif name == "square":
-            beta = (-1.7, -0.3, -0.5)
-            for arg in _spread(0.08, 0.44, count):
-                pts.append((beta, (1.0, 1.1, 1.3, (1 - arg) * 1.1 * 1.3)))
-        elif name == "quadric":
-            beta = (-0.6, -0.35)
-            for mid in _spread(0.2, 1.2, count):
-                pts.append((beta, (1.0, mid, 1.0)))
-        elif name in ("appell_f4", "lauricella_fc(2)"):
-            ent = catalog(name)
-            params = {"a": 0.31, "b": 0.74, "c": 1.2, "cp": 0.85}
-            if name != "appell_f4":
-                params = {"a": 0.31, "b": 0.74, "c1": 1.2, "c2": 0.85}
-            beta = tuple(float(v) for v in ent.classical.beta_from_params(params))
-            for k in range(count):
-                y1 = 0.04 + 0.015 * k
-                y2 = 0.08 + 0.02 * k
-                pts.append((beta, (1.0, 1.0, 1.0, 1.0, y1, y2)))
-        elif name == "lauricella_fc(1)":
-            ent = catalog(name)
-            beta = tuple(
-                float(v)
-                for v in ent.classical.beta_from_params(
-                    {"a": 0.3, "b": 0.5, "c1": 1.7}
-                )
-            )
-            for y in _spread(0.1, 0.45, count):
-                pts.append((beta, (1.0, 1.0, 1.0, y)))
-        elif name == "lauricella_fc(3)":
-            ent = catalog(name)
-            beta = tuple(
-                float(v)
-                for v in ent.classical.beta_from_params(
-                    {"a": 0.31, "b": 0.74, "c1": 1.2, "c2": 0.85, "c3": 1.4}
-                )
-            )
-            for k in range(count):
-                ys = (0.03 + 0.01 * k, 0.05 + 0.008 * k, 0.04 + 0.012 * k)
-                pts.append((beta, (1.0,) * 5 + ys))
-        else:
-            raise UnknownName(f"no default sample grid for {name!r}")
-        return SampleGrid(points=tuple(pts))
-
-
-def _spread(lo, hi, count):
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * k for k in range(count)]
-
-
-_CATALOG_NAMES = (
-    "gauss",
-    "quadric",
-    "square",
-    "appell_f4",
-    "lauricella_fc(1)",
-    "lauricella_fc(2)",
-    "lauricella_fc(3)",
-    "pfq(1)",
-    "pfq(2)",
-    "pfq(3)",
-)
-
-
-def _entry_for(config: PointConfiguration) -> Optional[CatalogEntry]:
-    for name in _CATALOG_NAMES:
-        ent = catalog(name)
-        if ent.config.name == config.name and ent.config.matrix == config.matrix:
-            return ent
-    for name in _CATALOG_NAMES:
-        ent = catalog(name)
-        if ent.config.matrix == config.matrix:
-            return ent
-    return None
-
-
-def _chart(config: PointConfiguration):
-    ent = _entry_for(config)
-    if ent is not None:
-        return ent.standard_form(1)
-    return to_standard_form(config, 1)
+        """The entry's default group-check grid with count points."""
+        if not isinstance(entry, CatalogEntry):
+            entry = catalog(str(entry))
+        grid = entry.group_grid
+        if grid is None:
+            raise UnknownName(f"no default sample grid for {entry.name!r}")
+        return SampleGrid(points=tuple((grid.beta, x) for x in grid.xs(count)))
 
 
 # ==========================================================================
@@ -285,7 +205,7 @@ def verify_pde(
     equal beta_i F, which quadrature sees as a nontrivial integration by
     parts identity.
     """
-    sf = _chart(config)
+    sf = chart_of(config)
     n, d = config.n, config.d
     a = config.matrix
     base = euler_integral(sf, beta, x, cycle, settings)
@@ -366,7 +286,7 @@ def verify_linear_transformation(
         raise UnknownName(f"unknown evaluator {evaluator!r}")
     if threshold is None:
         threshold = 1e-10 if evaluator == "classical" else 1e-6
-    ent = _entry_for(config)
+    ent = entry_of(config)
     if ent is None:
         raise UnknownName("configuration is not in the catalog")
     points = list(grid)

@@ -167,6 +167,12 @@ def test_usage_errors_exit_1(cli, tmp_path):
     code, _, err = cli("eval", "--catalog", "quadric", "--beta=-0.6,nope",
                        "--x=1,0.5,1")
     assert code == 1 and "beta" in err
+    # one source rule for every subcommand: a positional source and
+    # --catalog together are an error, never a silent pick
+    for cmd in (("catalog",), ("verify", "pde"), ("verify", "binomial"),
+                ("verify", "group")):
+        code, _, err = cli(*cmd, "quadric", "--catalog", "square")
+        assert code == 1 and "--catalog" in err
 
 
 def test_parse_errors_carry_location(cli, tmp_path):
@@ -198,6 +204,41 @@ def test_invalid_configuration_exits_2(cli, tmp_path):
     noxi.write_text('{"matrix": [[1, 2]]}', encoding="utf-8")
     code, _, err = cli("validate", str(noxi))
     assert code == 2 and err
+
+
+def test_mislabeled_file_keeps_its_own_matrix(cli, tmp_path):
+    # square's matrix under gauss's name: the matrix picks the entry
+    square = [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1]]
+    path = tmp_path / "mislabeled.json"
+    path.write_text(json.dumps({"name": "gauss", "matrix": square}),
+                    encoding="utf-8")
+    code, out, _ = cli("standard-form", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["name"] == "gauss"
+    u = doc["u_matrix"]
+    assert u == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]  # square's chart
+    assert doc["transformed"] == [
+        [sum(u[i][k] * square[k][j] for k in range(3)) for j in range(4)]
+        for i in range(3)
+    ]
+    code, out, _ = cli("catalog", str(path))
+    code2, want, _ = cli("catalog", "--catalog", "square")
+    assert code == code2 == 0
+    assert json.loads(out)["params"] == json.loads(want)["params"]
+
+
+def test_unnamed_catalog_matrix_takes_the_entry_chart(cli, tmp_path):
+    path = tmp_path / "unnamed.json"
+    path.write_text('{"matrix": [[1,1,1,1],[0,0,1,1],[0,1,0,1]]}',
+                    encoding="utf-8")
+    code, out, _ = cli("standard-form", str(path))
+    code2, want, _ = cli("standard-form", "--catalog", "square")
+    assert code == code2 == 0
+    doc, ref = json.loads(out), json.loads(want)
+    assert doc["name"] == "" and ref["name"] == "square"
+    del doc["name"], ref["name"]
+    assert doc == ref
 
 
 def test_missing_block_structure_exits_2(cli):
@@ -373,6 +414,37 @@ def test_verify_pde_negative_beta(cli):
                        "--beta", "-0.6,-0.35", "--x", "1,0.5,1")
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_verify_pde_needs_beta_and_x_together(cli):
+    for given in (("--beta=-0.3,-0.1",), ("--x", "2,1,3")):
+        code, out, err = cli("verify", "pde", "--catalog", "quadric", *given)
+        assert (code, out) == (1, "")
+        assert "--beta" in err and "--x" in err
+
+
+def test_verify_pde_user_points_default_cycle(cli, monkeypatch):
+    # with user points and no --cycle, each chart variable gets a positive
+    # axis, as in eval; the integrals themselves are covered elsewhere
+    import gkz.cli
+    from gkz import IdentityReport, positive_axis
+
+    seen = []
+
+    def fake_verify_pde(config, beta, x, cycle, settings=None):
+        seen.append((config.name, beta, x, cycle))
+        return IdentityReport(
+            description="stub", sample_points=[], lhs_values=[],
+            rhs_values=[], fitted_constant=1 + 0j, residuals=[],
+            verdict="pass",
+        )
+
+    monkeypatch.setattr(gkz.cli, "verify_pde", fake_verify_pde)
+    code, _, err = cli("verify", "pde", "--catalog", "gauss",
+                       "--beta=-0.9,-0.35,-0.45", "--x", "1,0.8,1.2,0.4")
+    assert (code, err) == (0, "")
+    assert seen == [("gauss", (-0.9, -0.35, -0.45), (1.0, 0.8, 1.2, 0.4),
+                     (positive_axis(), positive_axis()))]
 
 
 def test_verify_binomial_quadric(cli):
