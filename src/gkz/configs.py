@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import lattice
 from .errors import (
     DegenerateCone,
@@ -76,8 +78,8 @@ def compute_xi(matrix) -> tuple[int, ...]:
     cols = lattice.transpose(mat)
     # Solve A^T xi^T = 1 in the least-squares-free exact sense: pick d
     # independent rows of A^T (columns of A), solve, then check the rest.
-    idx = _independent_column_subset(mat)
-    if idx is None or len(idx) < d:
+    idx = lattice.pivot_columns(mat)
+    if len(idx) < d:
         raise NoXi("matrix does not have full row rank")
     sub = tuple(cols[j] for j in idx)
     sol = lattice.solve_unique(sub, (1,) * d)
@@ -109,20 +111,6 @@ def validate_configuration(matrix, name: Optional[str] = None) -> PointConfigura
         )
     xi = compute_xi(mat)
     return PointConfiguration(matrix=mat, xi=xi, name=name)
-
-
-def _independent_column_subset(mat) -> Optional[tuple[int, ...]]:
-    """Lexicographically first maximal independent set of column indices."""
-    d = len(mat)
-    cols = lattice.transpose(mat)
-    chosen: list[int] = []
-    for j in range(len(cols)):
-        trial = chosen + [j]
-        if lattice.rank(tuple(cols[k] for k in trial)) == len(trial):
-            chosen.append(j)
-            if len(chosen) == d:
-                break
-    return tuple(chosen) if chosen else None
 
 
 # ==========================================================================
@@ -250,7 +238,7 @@ def _indicator_candidates(config) -> dict[frozenset, tuple[int, ...]]:
     """Column subsets whose indicator row is an integer row combination."""
     d, n = config.d, config.n
     cols = config.columns
-    idx = _independent_column_subset(config.matrix)
+    idx = lattice.pivot_columns(config.matrix)
     sub = tuple(cols[j] for j in idx)
     out: dict[frozenset, tuple[int, ...]] = {}
     for bits in range(1, 2**n - 1):
@@ -327,33 +315,21 @@ class ClassicalModel:
             raise UnknownName("parameter dictionary is not square-invertible")
         lin = tuple(tuple(row[1:]) for row in self.beta_matrix)
         shift = tuple(row[0] for row in self.beta_matrix)
-        sol = _solve_numeric(lin, tuple(b - s for b, s in zip(beta, shift)))
-        return dict(zip(self.param_names, sol))
+        rhs = tuple(b - s for b, s in zip(beta, shift))
+        try:
+            sol = np.linalg.solve(np.array(lin, dtype=complex), np.array(rhs, dtype=complex))
+        except np.linalg.LinAlgError:
+            raise UnknownName("singular parameter dictionary") from None
+        return {
+            name: float(v.real) if abs(v.imag) < 1e-14 else complex(v)
+            for name, v in zip(self.param_names, sol)
+        }
 
     def prefactor_exponent_values(self, params: dict) -> tuple:
         vec = (1,) + tuple(params[name] for name in self.param_names)
         return tuple(
             sum(c * v for c, v in zip(row, vec)) for row in self.prefactor_exponents
         )
-
-
-def _solve_numeric(lin, rhs):
-    """Solve a small exact-coefficient system against numeric rhs."""
-    n = len(lin)
-    aug = [[complex(v) for v in row] + [complex(r)] for row, r in zip(lin, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(aug[i][col]))
-        if abs(aug[piv][col]) == 0:
-            raise UnknownName("singular parameter dictionary")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    out = [aug[i][n] for i in range(n)]
-    return [v.real if abs(v.imag) < 1e-14 else v for v in out]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import cmath
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad

@@ -6,6 +6,7 @@ no floating point is introduced anywhere.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -46,48 +47,81 @@ def column(a, j) -> tuple:
     return tuple(row[j] for row in a)
 
 
-def rank(a) -> int:
-    """Rank over the rationals, by fraction-free style Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in a]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
+def _integral(vec) -> tuple[list[int], int]:
+    """The integer vector den.vec for the least common denominator den."""
+    fr = [Fraction(v) for v in vec]
+    den = lcm(*(f.denominator for f in fr))
+    return [int(f * den) for f in fr], den
+
+
+def _echelon(a, rhs=None):
+    """Fraction-free (Bareiss) row echelon form of ``a``, or of ``[a | rhs]``.
+
+    Returns ``(rows, pivots, sign, scale)``: the integer echelon rows, the
+    pivot columns (searched in ``a`` only), the sign of the row swaps, and
+    the product of the denominators that made the input rows integral.
+    After k pivots each entry below them is a (k+1)-minor of the input, so
+    every division by the previous pivot is exact (Sylvester's identity;
+    Bareiss, Math. Comp. 22, 1968).
+    """
+    width = len(a[0]) if a else 0
+    if any(len(row) != width for row in a):
+        raise ValueError("ragged matrix")
+    if rhs is not None:
+        a = [tuple(row) + (v,) for row, v in zip(a, rhs)]
+    rows, scale = [], 1
+    for row in a:
+        if not all(type(v) is int for v in row):
+            row, den = _integral(row)
+            scale *= den
+        rows.append(row)
+    pivots, sign, prev = [], 1, 1
+    for col in range(width):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return r
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(piv * v - f * w) // prev for v, w in zip(rows[i], top)]
+        prev = piv
+        pivots.append(col)
+    return rows, pivots, sign, scale
+
+
+def _require_square(a, b=None) -> int:
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    if b is not None and len(b) != n:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
+    return n
+
+
+def rank(a) -> int:
+    """Rank over the rationals."""
+    return len(_echelon(a)[1])
+
+
+def pivot_columns(a) -> tuple[int, ...]:
+    """Lexicographically first maximal set of independent column indices."""
+    return tuple(_echelon(a)[1])
 
 
 def det(a) -> Fraction:
     """Determinant of a square matrix, exact."""
-    n = len(a)
-    m = [[Fraction(v) for v in row] for row in a]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [v - f * w for v, w in zip(m[i], m[col])]
-    return out * sign
+    n = _require_square(a)
+    rows, pivots, sign, scale = _echelon(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * (rows[-1][-1] if n else 1), scale)
 
 
 def solve_unique(a, b) -> Optional[tuple]:
@@ -95,20 +129,18 @@ def solve_unique(a, b) -> Optional[tuple]:
 
     Returns a tuple of Fractions.
     """
-    n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    n = _require_square(a, b)
+    rows, pivots, _, _ = _echelon(a, b)
+    if len(pivots) < n:
+        return None
+    # The last pivot d is +-det of the integral rows, so by Cramer's rule
+    # y = d.x is integral and back-substitution divides exactly.
+    d = rows[-1][n - 1] if n else 1
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, d) for v in y)
 
 
 def invert_unimodular(u) -> IntMatrix:
@@ -254,30 +286,9 @@ def kernel_basis_int(mat) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
-def solve_integer(mat, rhs) -> Optional[tuple[int, ...]]:
-    """One integer solution of M.x = rhs, or None."""
-    snf = smith_normal_form(mat)
-    c = mat_vec(snf.u, rhs)
-    nrows, ncols = len(mat), len(mat[0])
-    y = [0] * ncols
-    for i in range(nrows):
-        s = snf.s[i][i] if i < min(nrows, ncols) else 0
-        if s:
-            if c[i] % s:
-                return None
-            y[i] = c[i] // s
-        elif c[i]:
-            return None
-    return mat_vec(snf.v, tuple(y))
-
-
 def primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector, same direction."""
-    from math import gcd, lcm
-
-    fr = [Fraction(v) for v in vec]
-    denom = lcm(*(f.denominator for f in fr)) if fr else 1
-    ints = [int(f * denom) for f in fr]
+    ints, _ = _integral(vec)
     g = gcd(*ints) if any(ints) else 1
     return tuple(v // g for v in ints)
 

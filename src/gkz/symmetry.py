@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lattice
-from .configs import PointConfiguration, facet_normals, _independent_column_subset
+from .configs import PointConfiguration, facet_normals
 from .errors import ConfigMismatch, DimensionMismatch, TooLarge
 from .lattice import IntMatrix
 
@@ -87,7 +87,7 @@ def solve_T_for_permutation(
     if sorted(perm) != list(range(n)):
         raise ConfigMismatch("perm is not a permutation of 0..n-1")
     cols = config.columns
-    basis = _independent_column_subset(config.matrix)
+    basis = lattice.pivot_columns(config.matrix)
     b = lattice.transpose(tuple(cols[j] for j in basis))  # d x d, columns a_j
     b_img = lattice.transpose(tuple(cols[perm[j]] for j in basis))
     t = _solve_transport(b, b_img, d)
@@ -140,7 +140,7 @@ def find_symmetries(config: PointConfiguration) -> "SymmetryGroup":
     cols = config.columns
     if len(set(cols)) != n:
         raise ConfigMismatch("repeated columns; permutation action is ambiguous")
-    basis = _independent_column_subset(config.matrix)
+    basis = lattice.pivot_columns(config.matrix)
     invariants = _column_invariants(config)
     candidates = [
         tuple(k for k in range(n) if invariants[k] == invariants[j]) for j in basis

@@ -10,7 +10,7 @@ the shift collapses to a finite binomial-sum identity between integrals.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import lattice
 from .configs import StandardForm

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import lattice
 from .configs import (
@@ -24,7 +24,6 @@ from .configs import (
 )
 from .errors import FitUnstable, UnknownName, UnsupportedParameters
 from .evaluate import (
-    EvaluationResult,
     QuadratureSettings,
     appell_f4,
     classical_solution,
