@@ -58,10 +58,6 @@ class PointConfiguration:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.matrix)
 
-    @property
-    def xi_has_negative_entry(self) -> bool:
-        return any(v < 0 for v in self.xi)
-
     def __str__(self) -> str:
         label = self.name or "configuration"
         return f"{label} ({self.d} x {self.n})"

@@ -607,21 +607,66 @@ def _check_c(cval, name="c"):
         raise PoleInC(f"{name} = {cval!r} is a nonpositive integer")
 
 
-def series_2f1(a, b, c, x, rel=1e-16, max_terms=200000) -> complex:
+# Every classical series is FC(m) (FC(1) = 2F1, FC(2) = F4), summed by one
+# kernel to this relative tolerance within this many total degrees.
+_SERIES_REL = 1e-16
+_SERIES_DEGREES = 1 << 18
+
+
+def _log_poch(z, n: int) -> np.ndarray:
+    """log (z)_k for k < n; a zero factor z + j gives -inf from k = j + 1 on."""
+    with np.errstate(divide="ignore"):
+        steps = np.log(z + np.arange(n - 1, dtype=complex))
+    return np.concatenate(([0j], np.cumsum(steps)))
+
+
+def _log_convolve(p, q) -> np.ndarray:
+    """log sum_k exp(p[k] + q[N - k]) for every N < len(p)."""
+    out = np.empty(len(p), dtype=complex)
+    for N in range(len(p)):
+        v = p[: N + 1] + q[N::-1]
+        top = v.real.max()
+        out[N] = top + np.log(np.exp(v - top).sum())
+    return out
+
+
+def _fc_series(a, b, cs, ys) -> complex:
+    """sum over k of (a)_N (b)_N prod y_i^k_i / ((c_i)_k_i k_i!), N = |k|.
+
+    Summed by total degree N in log space: per variable the table
+    k log y_i - log (c_i)_k - log k!, the tables combined per degree by a
+    log-sum-exp convolution, then log (a)_N + log (b)_N added, so that
+    neither y^N nor the Pochhammer symbols under- or overflow on their own.
+    The tables double until three consecutive degrees are below
+    _SERIES_REL of the partial sum.  Real inputs give a real result.
+    """
+    real = all(complex(v).imag == 0 for v in (a, b, *cs, *ys))
+    pairs = [(c, complex(y)) for c, y in zip(cs, ys) if y != 0]
+    if not pairs:
+        return 1 + 0j
+    n = 64
+    while n <= _SERIES_DEGREES:
+        lf = _log_poch(1, n)
+        tables = [np.arange(n) * np.log(y) - _log_poch(c, n) - lf for c, y in pairs]
+        degree = tables[0]
+        for t in tables[1:]:
+            degree = _log_convolve(degree, t)
+        terms = np.exp(_log_poch(a, n) + _log_poch(b, n) + degree)
+        if not np.isfinite(terms).all():
+            raise NotConverged("FC series terms are not finite")
+        partial = np.cumsum(terms)
+        small = np.abs(terms) <= _SERIES_REL * np.abs(partial)
+        hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+        if hits.size:
+            total = partial[hits[0] + 2]
+            return complex(total.real) if real else complex(total)
+        n *= 2
+    raise NotConverged("FC series did not settle within the degree budget")
+
+
+def series_2f1(a, b, c, x) -> complex:
     """Plain power series; caller guarantees |x| < 1."""
-    term = 1 + 0j
-    total = 1 + 0j
-    small = 0
-    for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
-        total += term
-        if abs(term) <= rel * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NotConverged("2F1 series did not settle within the term budget")
+    return _fc_series(a, b, (c,), (x,))
 
 
 def gauss_2f1(a, b, c, x) -> complex:
@@ -644,132 +689,26 @@ def gauss_2f1(a, b, c, x) -> complex:
     raise OutOfDomain(f"x = {x!r} is outside the series and reflection domains")
 
 
-def appell_f4(a, b, c, cp, y1, y2, rel=1e-16, max_diag=3000) -> complex:
-    """Double series summed along anti-diagonals with ratio stepping."""
+def appell_f4(a, b, c, cp, y1, y2) -> complex:
+    """Appell F4 = FC(2), on sqrt|y1| + sqrt|y2| < 1."""
     _check_c(c, "c")
     _check_c(cp, "c'")
-    y1 = complex(y1)
-    y2 = complex(y2)
     if math.sqrt(abs(y1)) + math.sqrt(abs(y2)) >= 1:
         raise OutOfDomain("sqrt|y1| + sqrt|y2| must be < 1")
-    if y1 == 0 and y2 == 0:
-        return 1 + 0j
-    total = 1 + 0j
-    lead = 1 + 0j  # term at (r, s) = (N, 0): (a)_N (b)_N y1^N / ((c)_N N!)
-    lead_alt = 1 + 0j  # term at (0, N)
-    small = 0
-    for N in range(1, max_diag):
-        lead *= (a + N - 1) * (b + N - 1) / ((c + N - 1) * N) * y1
-        lead_alt *= (a + N - 1) * (b + N - 1) / ((cp + N - 1) * N) * y2
-        if abs(y1) >= abs(y2):
-            diag = lead
-            term = lead
-            r, s = N, 0
-            while r > 0:
-                # move one unit from r to s
-                term *= y2 * (c + r - 1) * r / (y1 * (cp + s) * (s + 1))
-                r -= 1
-                s += 1
-                diag += term
-                if term == 0:
-                    break
-        else:
-            diag = lead_alt
-            term = lead_alt
-            r, s = 0, N
-            while s > 0:
-                term *= y1 * (cp + s - 1) * s / (y2 * (c + r) * (r + 1))
-                s -= 1
-                r += 1
-                diag += term
-                if term == 0:
-                    break
-        total += diag
-        if abs(diag) <= rel * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NotConverged("F4 anti-diagonal sums did not settle")
+    return _fc_series(a, b, (c, cp), (y1, y2))
 
 
-def lauricella_fc(m: int, a, b, cs, ys, rel=1e-15, max_diag=2000) -> complex:
-    """m-fold series by total degree, m <= 3, in log-gamma form."""
+def lauricella_fc(m: int, a, b, cs, ys) -> complex:
+    """Lauricella FC in m <= 3 variables, on sum sqrt|y_i| < 1."""
     if m < 1 or m > 3:
         raise UnsupportedParameters("m must be 1, 2, or 3")
     if len(cs) != m or len(ys) != m:
         raise DimensionMismatch("need m lower parameters and m arguments")
     for i, cv in enumerate(cs):
         _check_c(cv, f"c{i + 1}")
-    ys = [complex(y) for y in ys]
     if sum(math.sqrt(abs(y)) for y in ys) >= 1:
         raise OutOfDomain("sum of sqrt|y_i| must be < 1")
-
-    chunk = 64
-    size = chunk
-
-    def tables(n):
-        ks = np.arange(n)
-        lg = {
-            "a": _scipy_loggamma(a + ks + 0j),
-            "b": _scipy_loggamma(b + ks + 0j),
-            "fact": _scipy_loggamma(ks + 1.0 + 0j),
-        }
-        for i in range(m):
-            lg[f"c{i}"] = _scipy_loggamma(cs[i] + ks + 0j)
-        yp = []
-        for y in ys:
-            col = np.empty(n, dtype=complex)
-            col[0] = 1
-            for k in range(1, n):
-                col[k] = col[k - 1] * y
-            yp.append(col)
-        return lg, yp
-
-    lg, yp = tables(size)
-    total = 0j
-    small = 0
-    for N in range(max_diag):
-        if N >= size:
-            size *= 2
-            lg, yp = tables(size)
-        base = (
-            lg["a"][N]
-            - lg["a"][0]
-            + lg["b"][N]
-            - lg["b"][0]
-            + sum(lg[f"c{i}"][0] for i in range(m))
-        )
-        if m == 1:
-            expo = base - lg["c0"][N] - lg["fact"][N]
-            diag = np.exp(expo) * yp[0][N]
-        elif m == 2:
-            k = np.arange(N + 1)
-            expo = base - lg["c0"][k] - lg["c1"][N - k] - lg["fact"][k] - lg["fact"][N - k]
-            diag = (np.exp(expo) * yp[0][k] * yp[1][N - k]).sum()
-        else:
-            diag = 0j
-            for k3 in range(N + 1):
-                k = np.arange(N - k3 + 1)
-                expo = (
-                    base
-                    - lg["c0"][k]
-                    - lg["c1"][N - k3 - k]
-                    - lg["c2"][k3]
-                    - lg["fact"][k]
-                    - lg["fact"][N - k3 - k]
-                    - lg["fact"][k3]
-                )
-                diag += (np.exp(expo) * yp[0][k] * yp[1][N - k3 - k]).sum() * yp[2][k3]
-        total += complex(diag)
-        if N >= 2 and abs(diag) <= rel * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NotConverged("FC total-degree sums did not settle")
+    return _fc_series(a, b, cs, ys)
 
 
 # ==========================================================================

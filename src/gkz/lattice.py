@@ -27,7 +27,8 @@ def identity(n: int) -> IntMatrix:
 
 def mat_mul(a, b) -> IntMatrix:
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
+    if any(len(r) != inner for r in a):
+        raise ValueError(f"left factor needs {inner} columns")
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols))
         for i in range(rows)
@@ -35,7 +36,8 @@ def mat_mul(a, b) -> IntMatrix:
 
 
 def mat_vec(a, v) -> tuple:
-    assert len(a[0]) == len(v)
+    if any(len(r) != len(v) for r in a):
+        raise ValueError(f"matrix needs {len(v)} columns")
     return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
 
 

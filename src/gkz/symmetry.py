@@ -47,9 +47,6 @@ class PolytopeSymmetry:
     perm: tuple[int, ...]
     det_sign: int
 
-    def image_of_column(self, j: int) -> int:
-        return self.perm[j]
-
     @property
     def is_identity(self) -> bool:
         return all(p == j for j, p in enumerate(self.perm))

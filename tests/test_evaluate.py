@@ -400,6 +400,50 @@ def test_fc_domain_errors():
         lauricella_fc(2, 0.3, 0.7, (1.1, 0.9), (0.4, 0.4))
 
 
+# Bailey's reduction (DLMF 16.16): with c' = a + b - c + 1,
+# F4(a, b; c, c'; x(1-y), y(1-x)) = 2F1(a, b; c; x) 2F1(a, b; c'; y).
+# The first two points have sqrt|y1| + sqrt|y2| = 0.995, where the
+# terms y^N underflow long before the series settles.
+@pytest.mark.parametrize("x, y", [(0.4, 0.5), (0.45, 0.45), (-0.2, 0.3)])
+def test_f4_and_fc2_match_bailey_product(x, y):
+    a, b, c = 0.31, 0.74, 1.2
+    cp = a + b - c + 1
+    with mp.workdps(30):
+        ref = complex(mp.hyp2f1(a, b, c, x) * mp.hyp2f1(a, b, cp, y))
+    y1, y2 = x * (1 - y), y * (1 - x)
+    for val in (appell_f4(a, b, c, cp, y1, y2), lauricella_fc(2, a, b, (c, cp), (y1, y2))):
+        assert abs(val - ref) / abs(ref) < 1e-12
+
+
+def test_2f1_matches_reference_up_to_the_unit_circle():
+    for x in (0.9, 0.99, 0.999, -0.9, 0.6 + 0.6j):
+        with mp.workdps(30):
+            ref = complex(mp.hyp2f1(0.3, 0.7, 1.1, x))
+        assert abs(gauss_2f1(0.3, 0.7, 1.1, x) - ref) / abs(ref) < 1e-12
+
+
+def test_fc3_matches_sum_of_shifted_f4():
+    # FC(3) = sum_k (a)_k (b)_k y3^k / ((c3)_k k!) F4(a + k, b + k; c1, c2; y1, y2)
+    a, b, cs, ys = 0.31, 0.74, (1.2, 0.85, 1.4), (0.03, 0.05, -0.01)
+    with mp.workdps(30):
+        ref = mp.fsum(
+            mp.rf(a, k) * mp.rf(b, k) * mp.mpf(ys[2]) ** k / (mp.rf(cs[2], k) * mp.factorial(k))
+            * mp.appellf4(a + k, b + k, cs[0], cs[1], ys[0], ys[1])
+            for k in range(12)
+        )
+    assert abs(lauricella_fc(3, a, b, cs, ys) - complex(ref)) / abs(ref) < 1e-13
+
+
+def test_real_inputs_give_real_values():
+    # log-space sums carry a phase i pi per negative factor; a real
+    # input must still give a real value (canonical JSON writes a float)
+    assert lauricella_fc(3, -0.31, 0.74, (1.2, -0.85, 1.4), (-0.05, 0.04, -0.03)).imag == 0
+    assert lauricella_fc(1, -0.31, 0.74, (1.2,), (0.3,)).imag == 0
+    assert appell_f4(0.31, 0.74, 1.2, 0.85, -0.1, 0.2).imag == 0
+    assert gauss_2f1(-0.3, 0.7, 1.1, -0.6).imag == 0
+    assert gauss_2f1(-2.5, -0.7, 1.1, 0.6).imag == 0
+
+
 def test_classical_gauss_point(gauss_entry):
     p = dict(a=0.3, b=0.5, c=1.7)
     v = classical_solution(gauss_entry, p, (1, 1, 1, 0.25))

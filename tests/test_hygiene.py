@@ -1,8 +1,11 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none checks anything with ``assert``.
 
 No linter ships with the test dependencies, so this is the pyflakes F401
 check for the package's own modules, done with ``ast``.  An import kept on
-purpose (a re-export) carries ``# noqa: F401`` on its line.
+purpose (a re-export) carries ``# noqa: F401`` on its line.  ``python -O``
+strips ``assert`` statements, so a check written as one silently stops
+checking; the package raises instead.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gkz"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _used_names(tree) -> set[str]:
@@ -53,3 +57,18 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_scan_flags_an_assert():
+    assert assert_statements("def f(x):\n    assert x > 0\n    return x\n") == ["line 2"]
+    assert assert_statements("if not x:\n    raise ValueError(x)\n") == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []

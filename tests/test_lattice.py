@@ -133,6 +133,14 @@ def test_solve_rejects_mismatched_shapes():
         solve_unique(((1, 0), (0, 1)), (1, 2, 3))
 
 
+def test_products_reject_mismatched_shapes():
+    # shape checks that must hold under python -O too
+    with pytest.raises(ValueError):
+        mat_vec(((1, 2), (3, 4)), (1,))
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2),), ((1,),))
+
+
 def test_empty_and_float_inputs():
     assert det(()) == 1 and solve_unique((), ()) == () and rank(()) == 0
     assert det(((0.5, 1), (0.25, 3))) == Fraction(5, 4)
