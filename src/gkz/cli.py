@@ -114,14 +114,9 @@ def canonical_json(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _float_str(obj)
-    if isinstance(obj, Fraction):
-        return _float_str(float(obj))
-    if isinstance(obj, complex):
-        return canonical_json([obj.real, obj.imag])
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+    # containers before Fraction, whose isinstance check goes through ABCMeta
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):
@@ -129,6 +124,12 @@ def canonical_json(obj) -> str:
                 raise TypeError(f"non-string JSON key {key!r}")
             items.append(json.dumps(key) + ":" + canonical_json(obj[key]))
         return "{" + ",".join(items) + "}"
+    if isinstance(obj, Fraction):
+        return _float_str(float(obj))
+    if isinstance(obj, complex):
+        return canonical_json([obj.real, obj.imag])
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
     if hasattr(obj, "to_json"):
         return canonical_json(obj.to_json())
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -231,23 +231,23 @@ def to_standard_form(config: PointConfiguration, m: int = 1) -> StandardForm:
 
 
 def _indicator_candidates(config) -> dict[frozenset, tuple[int, ...]]:
-    """Column subsets whose indicator row is an integer row combination."""
-    d, n = config.d, config.n
+    """Column subsets whose indicator row is an integer row combination.
+
+    A row r is fixed by its 0/1 values v on the basis columns: with S those
+    columns stacked as rows, r = adj(S).v/det(S).
+    """
     cols = config.columns
     idx = lattice.pivot_columns(config.matrix)
-    sub = tuple(cols[j] for j in idx)
+    den, adj = lattice.adjugate(tuple(cols[j] for j in idx))
     out: dict[frozenset, tuple[int, ...]] = {}
-    for bits in range(1, 2**n - 1):
-        subset = frozenset(j for j in range(n) if bits >> j & 1)
-        target = tuple(1 if j in subset else 0 for j in idx)
-        sol = lattice.solve_unique(sub, target)
-        if sol is None or any(f.denominator != 1 for f in sol):
+    for pattern in itertools.product((0, 1), repeat=len(idx)):
+        nums = [sum(x for x, p in zip(row, pattern) if p) for row in adj]
+        if any(v % den for v in nums):
             continue
-        row = tuple(int(f) for f in sol)
-        if all(
-            sum(row[i] * cols[j][i] for i in range(d)) == (1 if j in subset else 0)
-            for j in range(n)
-        ):
+        row = tuple(v // den for v in nums)
+        values = [sum(x * y for x, y in zip(row, c)) for c in cols]
+        subset = frozenset(j for j, v in enumerate(values) if v == 1)
+        if 0 < len(subset) < len(cols) and all(v in (0, 1) for v in values):
             out[subset] = row
     return out
 

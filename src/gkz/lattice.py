@@ -145,21 +145,28 @@ def solve_unique(a, b) -> Optional[tuple]:
     return tuple(Fraction(v, d) for v in y)
 
 
+def adjugate(a) -> tuple[int, IntMatrix]:
+    """``(det a, adj a)`` of an invertible integer matrix, so a.adj = det.I.
+
+    T.a = c is then solved for many c by the integer product c.adj and one
+    divisibility test by det, with no further elimination.
+    """
+    n = _require_square(a)
+    den, unit = det(a), identity(n)
+    if den == 0:
+        raise ValueError("matrix is singular")
+    cols = [[den * v for v in solve_unique(a, unit[j])] for j in range(n)]
+    if any(v.denominator != 1 for col in cols + [[den]] for v in col):
+        raise ValueError("matrix is not integral")
+    return int(den), freeze(transpose(cols))
+
+
 def invert_unimodular(u) -> IntMatrix:
     """Integer inverse of a matrix with determinant +-1."""
-    n = len(u)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        sol = solve_unique(u, e)
-        if sol is None:
-            raise ValueError("matrix is singular")
-        cols.append(sol)
-    inv = transpose(cols)
-    out = tuple(tuple(int(v) for v in row) for row in inv)
-    if any(Fraction(o) != v for ro, rv in zip(out, inv) for o, v in zip(ro, rv)):
+    den, adj = adjugate(u)
+    if abs(den) != 1:
         raise ValueError("matrix is not unimodular")
-    return out
+    return tuple(tuple(den * v for v in row) for row in adj)
 
 
 class SmithDecomposition(NamedTuple):

@@ -7,10 +7,12 @@ basis, so the search space is bounded by ordered d-tuples of columns.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from . import lattice
-from .configs import PointConfiguration, facet_normals
+from .configs import PointConfiguration
 from .errors import ConfigMismatch, DimensionMismatch, TooLarge
 from .lattice import IntMatrix
 
@@ -19,10 +21,7 @@ _MAX_COLUMNS = 14
 
 def permutation_matrix(perm) -> IntMatrix:
     """n x n matrix P with column j of A.P equal to a_{perm[j]}."""
-    n = len(perm)
-    return tuple(
-        tuple(1 if i == perm[j] else 0 for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == p) for p in perm) for i in range(len(perm)))
 
 
 def permutation_from_matrix(p) -> tuple[int, ...]:
@@ -63,12 +62,8 @@ class PolytopeSymmetry:
 
 
 def identity_symmetry(config: PointConfiguration) -> PolytopeSymmetry:
-    return PolytopeSymmetry(
-        config=config,
-        t_matrix=lattice.identity(config.d),
-        perm=tuple(range(config.n)),
-        det_sign=1,
-    )
+    d, n = config.d, config.n
+    return PolytopeSymmetry(config, lattice.identity(d), tuple(range(n)), 1)
 
 
 def solve_T_for_permutation(
@@ -80,57 +75,72 @@ def solve_T_for_permutation(
     the remaining columns then either confirm or refute the candidate.
     """
     perm = tuple(perm)
-    n, d = config.n, config.d
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(config.n)):
         raise ConfigMismatch("perm is not a permutation of 0..n-1")
-    cols = config.columns
     basis = lattice.pivot_columns(config.matrix)
-    b = lattice.transpose(tuple(cols[j] for j in basis))  # d x d, columns a_j
-    b_img = lattice.transpose(tuple(cols[perm[j]] for j in basis))
-    t = _solve_transport(b, b_img, d)
-    if t is None:
-        return None
-    for j in range(n):
-        if lattice.mat_vec(t, cols[j]) != cols[perm[j]]:
-            return None
-    det = lattice.det(t)
-    if abs(det) != 1:
+    den, terms = _transport_terms(config, basis)
+    acc = [sum(v) for v in zip(*(terms[l][perm[j]] for l, j in enumerate(basis)))]
+    t = _transport(config.d, den, acc)
+    if t is None or not verify_symmetry(config, t, perm):
         return None
     return PolytopeSymmetry(
-        config=config, t_matrix=t, perm=perm, det_sign=1 if det > 0 else -1
+        config=config, t_matrix=t, perm=perm, det_sign=int(lattice.det(t))
     )
 
 
-def _solve_transport(b, b_img, d) -> Optional[IntMatrix]:
-    """Integer T with T.b = b_img, given b invertible; None otherwise."""
-    rows = []
-    bt = lattice.transpose(b)
-    for i in range(d):
-        # row i of T solves bt . row^T = row i of b_img
-        sol = lattice.solve_unique(bt, b_img[i])
-        if sol is None or any(f.denominator != 1 for f in sol):
-            return None
-        rows.append(tuple(int(f) for f in sol))
-    return tuple(rows)
-
-
-def _column_invariants(config: PointConfiguration) -> tuple[tuple, ...]:
-    """Per-column fingerprint preserved by every symmetry.
-
-    The facet normals are permuted by any unimodular column symmetry, so
-    the sorted multiset of facet pairings of a column is invariant.
-    """
-    normals = facet_normals(config)
+def _columns(config: PointConfiguration, index) -> IntMatrix:
+    """The d x d matrix whose columns are a_j for j in index."""
     cols = config.columns
-    out = []
-    for c in cols:
-        pairings = sorted(sum(nu[i] * c[i] for i in range(config.d)) for nu in normals)
-        out.append(tuple(pairings))
-    return tuple(out)
+    return tuple(zip(*(cols[j] for j in index)))
+
+
+def _transport_terms(config: PointConfiguration, basis):
+    """``(det B, terms)`` for B = (a_b for b in basis) and its images.
+
+    T with T.a_{basis[l]} = a_{images[l]} is B_img.adj(B)/det(B), so
+    det(B).T.[A | I] sums a_{images[l]} times row l of adj(B).[A | I] over l.
+    ``terms[l][k]`` is that product for a_k, flattened by columns: column j of
+    det(B).T.A, then det(B).T in the last d.d slots.
+    """
+    d = config.d
+    den, adj = lattice.adjugate(_columns(config, basis))
+    coords = lattice.mat_mul(adj, [row + tuple(int(i == r) for i in range(d))
+                                   for r, row in enumerate(config.matrix)])
+    terms = [[tuple(x * y for y in row for x in c) for c in config.columns]
+             for row in coords]
+    return den, terms
+
+
+def _transport(d, den, acc) -> Optional[IntMatrix]:
+    """T from the summed terms, or None if it is not an integer matrix."""
+    flat = acc[-d * d:]
+    if den != 1:
+        if any(v % den for v in flat):
+            return None
+        flat = [v // den for v in flat]
+    return tuple(zip(*(flat[c * d:(c + 1) * d] for c in range(d))))
+
+
+def _gram_matrix(config: PointConfiguration) -> IntMatrix:
+    """Q = A^T.(A.A^T)^{-1}.A, scaled to integers by det(A.A^T) > 0.
+
+    A column permutation pi comes from a linear symmetry exactly when it
+    preserves Q (Bremner, Dutour Sikiric, Pasechnik, Rehn and Schuermann,
+    LMS J. Comput. Math. 17, 2014).
+    """
+    a, at = config.matrix, config.columns
+    _, adj = lattice.adjugate(lattice.mat_mul(a, at))
+    return lattice.mat_mul(lattice.mat_mul(at, adj), a)
 
 
 def find_symmetries(config: PointConfiguration) -> "SymmetryGroup":
-    """Enumerate the full symmetry group by basis-image backtracking."""
+    """Enumerate the full symmetry group by basis-image backtracking.
+
+    A column is a candidate image of the next basis column only if its Gram
+    entries against the images so far equal the basis's.  A full match makes
+    the images independent; the leaf keeps T if it is integral, maps every
+    column to a column and has |det T| = 1.
+    """
     if config.n > _MAX_COLUMNS:
         raise TooLarge(f"n = {config.n} exceeds the search bound {_MAX_COLUMNS}")
     n, d = config.n, config.d
@@ -138,80 +148,58 @@ def find_symmetries(config: PointConfiguration) -> "SymmetryGroup":
     if len(set(cols)) != n:
         raise ConfigMismatch("repeated columns; permutation action is ambiguous")
     basis = lattice.pivot_columns(config.matrix)
-    invariants = _column_invariants(config)
-    candidates = [
-        tuple(k for k in range(n) if invariants[k] == invariants[j]) for j in basis
-    ]
+    den, terms = _transport_terms(config, basis)
+    # den.T.a_j equals den.a_k exactly when T.a_j = a_k
+    index = {tuple(den * x for x in c): k for k, c in enumerate(cols)}
+    q = _gram_matrix(config)
+    candidates = [[k for k in range(n) if q[k][k] == q[b][b]] for b in basis]
+    minors: dict[tuple, Fraction] = {}
     found: list[PolytopeSymmetry] = []
 
-    def backtrack(level: int, images: list[int]):
-        if level == d:
-            sym = _complete_from_basis_images(config, cols, basis, images)
-            if sym is not None:
-                found.append(sym)
+    def leaf(images, acc):
+        t = _transport(d, den, acc)
+        perm = tuple(index.get(acc[j * d:(j + 1) * d]) for j in range(n))
+        if t is None or None in perm or len(set(perm)) != n:
             return
+        key = tuple(sorted(images))  # det T = +-det(B_key)/det(B)
+        if key not in minors:
+            minors[key] = lattice.det(_columns(config, key)) / den
+        det = minors[key] * (-1) ** sum(x > y for i, x in enumerate(images)
+                                        for y in images[i + 1:])
+        if abs(det) == 1:
+            found.append(PolytopeSymmetry(config, t, perm, int(det)))
+
+    def backtrack(images: list[int], acc):
+        level = len(images)
+        if level == d:
+            leaf(images, acc)
+            return
+        b = basis[level]
         for k in candidates[level]:
-            if k in images:
-                continue
-            trial = tuple(cols[i] for i in images + [k])
-            if lattice.rank(trial) != level + 1:
-                continue
-            backtrack(level + 1, images + [k])
+            if k not in images and all(q[i][k] == q[basis[l]][b]
+                                       for l, i in enumerate(images)):
+                backtrack(images + [k], tuple(map(add, acc, terms[level][k])))
 
-    backtrack(0, [])
+    backtrack([], (0,) * len(terms[0][0]))
     return SymmetryGroup.from_elements(config, found)
-
-
-def _complete_from_basis_images(config, cols, basis, images) -> Optional[PolytopeSymmetry]:
-    d, n = config.d, config.n
-    b = lattice.transpose(tuple(cols[j] for j in basis))
-    b_img = lattice.transpose(tuple(cols[k] for k in images))
-    t = _solve_transport(b, b_img, d)
-    if t is None:
-        return None
-    perm = []
-    col_index = {cols[j]: j for j in range(n)}
-    for j in range(n):
-        image = lattice.mat_vec(t, cols[j])
-        k = col_index.get(image)
-        if k is None:
-            return None
-        perm.append(k)
-    if sorted(perm) != list(range(n)):
-        return None
-    det = lattice.det(t)
-    if abs(det) != 1:
-        return None
-    return PolytopeSymmetry(
-        config=config, t_matrix=t, perm=tuple(perm), det_sign=1 if det > 0 else -1
-    )
 
 
 def compose(first: PolytopeSymmetry, second: PolytopeSymmetry) -> PolytopeSymmetry:
     """Symmetry acting as first after second: T = T1.T2, perm = p1 o p2."""
     if first.config.matrix != second.config.matrix:
         raise ConfigMismatch("symmetries of different configurations")
-    t = lattice.mat_mul(first.t_matrix, second.t_matrix)
-    perm = tuple(first.perm[second.perm[j]] for j in range(len(first.perm)))
     return PolytopeSymmetry(
         config=first.config,
-        t_matrix=t,
-        perm=perm,
+        t_matrix=lattice.mat_mul(first.t_matrix, second.t_matrix),
+        perm=tuple(map(first.perm.__getitem__, second.perm)),
         det_sign=first.det_sign * second.det_sign,
     )
 
 
 def inverse(sym: PolytopeSymmetry) -> PolytopeSymmetry:
     t_inv = lattice.invert_unimodular(sym.t_matrix)
-    perm_inv = [0] * len(sym.perm)
-    for j, p in enumerate(sym.perm):
-        perm_inv[p] = j
-    return PolytopeSymmetry(
-        config=sym.config,
-        t_matrix=t_inv,
-        perm=tuple(perm_inv),
-        det_sign=sym.det_sign,
-    )
+    perm_inv = tuple(sorted(range(len(sym.perm)), key=sym.perm.__getitem__))
+    return PolytopeSymmetry(sym.config, t_inv, perm_inv, sym.det_sign)
 
 
 def verify_symmetry(config: PointConfiguration, t, p) -> bool:
@@ -233,10 +221,6 @@ def verify_symmetry(config: PointConfiguration, t, p) -> bool:
         if lattice.mat_vec(t, cols[j]) != cols[perm[j]]:
             return False
     return abs(lattice.det(t)) == 1
-
-
-def recheck(sym: PolytopeSymmetry) -> bool:
-    return verify_symmetry(sym.config, sym.t_matrix, sym.perm)
 
 
 @dataclass(frozen=True)
@@ -275,29 +259,29 @@ class SymmetryGroup:
         }
 
 
-def _closure(config, gens) -> set:
-    ident = identity_symmetry(config)
-    seen = {ident._key(): ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in gens:
-                prod = compose(g, h)
-                if prod._key() not in seen:
-                    seen[prod._key()] = prod
-                    fresh.append(prod)
-        frontier = fresh
-    return set(seen)
-
-
 def _greedy_generators(config, ordered) -> tuple:
+    """Each element in order that the earlier choices do not generate.
+
+    A has full rank, so perm determines T and the generated subgroup grows
+    on the permutations alone.  Each new generator extends the subgroup H
+    by whole cosets H.x, one per new representative x (Dimino's algorithm).
+    """
     gens: list[PolytopeSymmetry] = []
-    generated = {identity_symmetry(config)._key()}
+    group = [identity_symmetry(config).perm]
+    generated = set(group)
     for e in ordered:
-        if e._key() not in generated:
-            gens.append(e)
-            generated = _closure(config, gens)
-            if len(generated) == len(ordered):
-                break
+        if e.perm in generated:
+            continue
+        gens.append(e)
+        sub, reps = list(group), [group[0]]
+        for r in reps:
+            for g in gens:
+                x = tuple(map(r.__getitem__, g.perm))
+                if x not in generated:
+                    coset = [tuple(map(h.__getitem__, x)) for h in sub]
+                    group += coset
+                    generated.update(coset)
+                    reps.append(x)
+        if len(group) == len(ordered):
+            break
     return tuple(gens)

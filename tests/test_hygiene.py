@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none checks anything with ``assert``.
+none checks anything with ``assert``, and no private module-level function
+or class is left without a reference.
 
 No linter ships with the test dependencies, so this is the pyflakes F401
 check for the package's own modules, done with ``ast``.  An import kept on
@@ -72,3 +73,52 @@ def test_scan_flags_an_assert():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text()) == []
+
+
+def _referenced_names(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes that no other top-level
+    statement of the package names (a recursive call does not count)."""
+    statements = [(module, node) for module, source in sorted(sources.items())
+                  for node in ast.parse(source).body]
+    out = []
+    for module, node in statements:
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        if not isinstance(node, kinds) or not node.name.startswith("_"):
+            continue
+        if node.name.startswith("__"):
+            continue
+        if not any(node.name in _referenced_names(other)
+                   for _, other in statements if other is not node):
+            out.append(f"{module} line {node.lineno}: {node.name}")
+    return out
+
+
+def test_scan_flags_an_unreferenced_private_definition():
+    src = ("def _used():\n    return 1\n\n"
+           "def _dead(k):\n    return _dead(k - 1) if k else 0\n\n"
+           "class _Gone:\n    pass\n\n"
+           "def public():\n    return _used()\n")
+    assert unreferenced_private({"m.py": src}) == [
+        "m.py line 4: _dead", "m.py line 7: _Gone"]
+    helper = {"a.py": "def _f():\n    return 1\n"}
+    assert unreferenced_private(helper) == ["a.py line 1: _f"]
+    assert unreferenced_private({**helper, "b.py": "from .a import _f\n"}) == []
+    attribute = {"b.py": "from . import a\nx = a._f()\n"}
+    assert unreferenced_private({**helper, **attribute}) == []
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text() for path in ALL_MODULES}
+    assert unreferenced_private(sources) == []

@@ -9,15 +9,20 @@ import pytest
 
 from gkz import (
     ConfigMismatch,
+    GkzError,
+    NoSuchBlockStructure,
     TooLarge,
     catalog,
     compose,
     find_symmetries,
     identity_symmetry,
     inverse,
+    lattice,
+    to_standard_form,
     validate_configuration,
     verify_symmetry,
 )
+from gkz.configs import CATALOG_NAMES, _partition_from_candidates, standard_form
 from gkz.symmetry import permutation_matrix, solve_T_for_permutation
 
 T1 = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
@@ -256,3 +261,109 @@ def test_group_json_shape(square_entry):
     for el in doc["elements"]:
         assert set(el) >= {"T", "perm", "det"}
         assert sorted(el["perm"]) == [1, 2, 3, 4]
+
+
+def test_fc4_group_order():
+    config = catalog("lauricella_fc(4)").config
+    group = find_symmetries(config)
+    assert group.order == 3840
+    assert all(verify_symmetry(config, s.t_matrix, s.perm) for s in group)
+
+
+@pytest.mark.parametrize("name", ["appell_f4", "pfq(2)"])
+def test_search_matches_brute_force(name):
+    config = catalog(name).config
+    group = find_symmetries(config)
+    assert {s.perm for s in group} == {s.perm for s in brute_force_group(config)}
+
+
+def closure(perms):
+    """Every product of the given permutations, by breadth-first search."""
+    seen = {tuple(range(len(perms[0])))}
+    frontier = list(seen)
+    while frontier:
+        products = {tuple(g[j] for j in h) for g in frontier for h in perms}
+        frontier = [p for p in products if p not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["square", "appell_f4", "pfq(3)", "lauricella_fc(3)"])
+def test_generators_are_the_greedy_choice(name):
+    # each sorted element outside the closure of the earlier choices
+    group = find_symmetries(catalog(name).config)
+    chosen, generated = [], {tuple(range(group.config.n))}
+    for e in group.elements:
+        if e.perm not in generated:
+            chosen.append(e.perm)
+            generated = closure(chosen)
+    assert [g.perm for g in group.generators] == chosen
+
+
+def random_unimodular(rng, d):
+    """Product of seeded elementary row operations: adds, swaps, negations."""
+    u = np.eye(d, dtype=object)
+    for _ in range(3 * d):
+        i, j = rng.choice(d, size=2, replace=False) if d > 1 else (0, 0)
+        kind = rng.integers(3)
+        if kind == 0 and d > 1:
+            u[i] += int(rng.integers(-2, 3)) * u[j]
+        elif kind == 1:
+            u[[i, j]] = u[[j, i]]
+        else:
+            u[i] = -u[i]
+    return u
+
+
+def re_embedded(rng, matrix):
+    """U.A with its columns shuffled, for a seeded unimodular U."""
+    a = np.array(matrix, dtype=object)
+    u = random_unimodular(rng, a.shape[0])
+    moved = u.dot(a)[:, rng.permutation(a.shape[1])]
+    return tuple(tuple(int(v) for v in row) for row in moved)
+
+
+def reference_two_block_form(config):
+    """to_standard_form(config, 2) with one solve_unique per column subset."""
+    n, d = config.n, config.d
+    if d < 2:
+        raise NoSuchBlockStructure("m = 2 outside 1..d")
+    cols = config.columns
+    idx = lattice.pivot_columns(config.matrix)
+    sub = tuple(cols[j] for j in idx)
+    candidates = {}
+    for bits in range(1, 2**n - 1):
+        subset = frozenset(j for j in range(n) if bits >> j & 1)
+        sol = lattice.solve_unique(sub, tuple(int(j in subset) for j in idx))
+        if any(f.denominator != 1 for f in sol):
+            continue
+        row = tuple(int(f) for f in sol)
+        if all(sum(r * c for r, c in zip(row, cols[j])) == int(j in subset)
+               for j in range(n)):
+            candidates[subset] = row
+    partition = _partition_from_candidates(candidates, n, 2)
+    if partition is None:
+        raise NoSuchBlockStructure("no partition")
+    u = lattice.unimodular_completion([candidates[frozenset(b)] for b in partition], d)
+    if u is None:
+        raise NoSuchBlockStructure("no completion")
+    return standard_form(config, u, 2)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GkzError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if catalog(n).config.n <= 8])
+def test_re_embedding_keeps_order_and_two_block_form(name):
+    rng = np.random.default_rng(2014)
+    config = catalog(name).config
+    order = outcome(lambda c: find_symmetries(c).order, config)
+    for _ in range(3):
+        moved = validate_configuration(re_embedded(rng, config.matrix), name=name)
+        assert outcome(lambda c: find_symmetries(c).order, moved) == order
+        want = outcome(reference_two_block_form, moved)
+        assert outcome(to_standard_form, moved, 2) == want
