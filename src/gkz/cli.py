@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .configs import (
@@ -116,13 +117,18 @@ def canonical_json(obj) -> str:
         return _float_str(obj)
     # containers before Fraction, whose isinstance check goes through ABCMeta
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(canonical_json, obj)) + "]"
+        # ints, the bulk of search reports, skip the recursion (bools do not)
+        return "[" + ",".join(
+            [str(v) if type(v) is int else canonical_json(v) for v in obj]
+        ) + "]"
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"non-string JSON key {key!r}")
-            items.append(json.dumps(key) + ":" + canonical_json(obj[key]))
+            # json.dumps(key) without its per-call wrapper: same bytes
+            key_json = encode_basestring_ascii(key)
+            items.append(key_json + ":" + canonical_json(obj[key]))
         return "{" + ",".join(items) + "}"
     if isinstance(obj, Fraction):
         return _float_str(float(obj))

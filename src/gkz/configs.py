@@ -309,11 +309,10 @@ class ClassicalModel:
         d = len(self.beta_matrix)
         if k != d:
             raise UnknownName("parameter dictionary is not square-invertible")
-        lin = tuple(tuple(row[1:]) for row in self.beta_matrix)
         shift = tuple(row[0] for row in self.beta_matrix)
         rhs = tuple(b - s for b, s in zip(beta, shift))
         try:
-            sol = np.linalg.solve(np.array(lin, dtype=complex), np.array(rhs, dtype=complex))
+            sol = np.linalg.solve(self._linear_part, np.array(rhs, dtype=complex))
         except np.linalg.LinAlgError:
             raise UnknownName("singular parameter dictionary") from None
         return {
@@ -323,9 +322,20 @@ class ClassicalModel:
 
     def prefactor_exponent_values(self, params: dict) -> tuple:
         vec = (1,) + tuple(params[name] for name in self.param_names)
-        return tuple(
-            sum(c * v for c, v in zip(row, vec)) for row in self.prefactor_exponents
-        )
+        rows = self.prefactor_exponents
+        if all(type(v) in (float, complex) for v in vec[1:]):
+            # Fraction * float rounds as float(c) * float: same values
+            rows = self._float_prefactor_exponents
+        return tuple(sum(c * v for c, v in zip(row, vec)) for row in rows)
+
+    @functools.cached_property
+    def _float_prefactor_exponents(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(map(float, row)) for row in self.prefactor_exponents)
+
+    @functools.cached_property
+    def _linear_part(self) -> np.ndarray:
+        """The parameter columns of beta_matrix as the complex array solved."""
+        return np.array([row[1:] for row in self.beta_matrix], dtype=complex)
 
 
 @dataclass(frozen=True)

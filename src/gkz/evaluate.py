@@ -611,6 +611,8 @@ def _check_c(cval, name="c"):
 # kernel to this relative tolerance within this many total degrees.
 _SERIES_REL = 1e-16
 _SERIES_DEGREES = 1 << 18
+# entries per block of the convolution's Toeplitz matrix
+_BLOCK = 1 << 14
 
 
 def _log_poch(z, n: int) -> np.ndarray:
@@ -621,12 +623,25 @@ def _log_poch(z, n: int) -> np.ndarray:
 
 
 def _log_convolve(p, q) -> np.ndarray:
-    """log sum_k exp(p[k] + q[N - k]) for every N < len(p)."""
-    out = np.empty(len(p), dtype=complex)
-    for N in range(len(p)):
-        v = p[: N + 1] + q[N::-1]
-        top = v.real.max()
-        out[N] = top + np.log(np.exp(v - top).sum())
+    """log sum_k exp(p[k] + q[N - k]) for every N < len(p).
+
+    Row N of the Toeplitz matrix q[N - k] is a window of q reversed and
+    padded with -inf, so a block of rows is one log-sum-exp; a block holds
+    about _BLOCK entries, or one row when n > _BLOCK.  A row of -inf terms
+    gives -inf.
+    """
+    n = len(p)
+    pad = np.concatenate((q[::-1], np.full(n - 1, -np.inf, dtype=complex)))
+    windows = np.lib.stride_tricks.sliding_window_view(pad, n)
+    out = np.empty(n, dtype=complex)
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        v = p[:hi] + windows[n - hi : n - lo][::-1, :hi]
+        top = v.real.max(axis=1)
+        top[~np.isfinite(top)] = 0.0
+        with np.errstate(divide="ignore"):
+            out[lo:hi] = top + np.log(np.exp(v - top[:, None]).sum(axis=1))
     return out
 
 
@@ -637,14 +652,18 @@ def _fc_series(a, b, cs, ys) -> complex:
     k log y_i - log (c_i)_k - log k!, the tables combined per degree by a
     log-sum-exp convolution, then log (a)_N + log (b)_N added, so that
     neither y^N nor the Pochhammer symbols under- or overflow on their own.
-    The tables double until three consecutive degrees are below
-    _SERIES_REL of the partial sum.  Real inputs give a real result.
+    The terms fall off like rho^(2N) for rho = sum sqrt|y_i|, so the
+    tables start at 8 + 23 / -ln rho degrees, where rho^(2N) is 1e-20,
+    but at no more than 64.  They double until three consecutive degrees
+    are below _SERIES_REL of the partial sum, within _SERIES_DEGREES.
+    Real inputs give a real result.
     """
     real = all(complex(v).imag == 0 for v in (a, b, *cs, *ys))
     pairs = [(c, complex(y)) for c, y in zip(cs, ys) if y != 0]
     if not pairs:
         return 1 + 0j
-    n = 64
+    rho = sum(math.sqrt(abs(y)) for _, y in pairs)
+    n = min(64, 8 + math.ceil(23 / -math.log(rho))) if rho < 1 else 64
     while n <= _SERIES_DEGREES:
         lf = _log_poch(1, n)
         tables = [np.arange(n) * np.log(y) - _log_poch(c, n) - lf for c, y in pairs]

@@ -70,7 +70,9 @@ def _echelon(a, rhs=None):
     if any(len(row) != width for row in a):
         raise ValueError("ragged matrix")
     if rhs is not None:
-        a = [tuple(row) + (v,) for row, v in zip(a, rhs)]
+        a = [tuple(row) + tuple(v) for row, v in zip(a, rhs)]
+        if any(len(row) != len(a[0]) for row in a):
+            raise ValueError("ragged right-hand side")
     rows, scale = [], 1
     for row in a:
         if not all(type(v) is int for v in row):
@@ -129,36 +131,48 @@ def det(a) -> Fraction:
 def solve_unique(a, b) -> Optional[tuple]:
     """Solve a.x = b for square invertible ``a``; None if singular.
 
-    Returns a tuple of Fractions.
+    ``b`` is a vector, or a matrix of n rows to solve for several
+    right-hand sides by one elimination; x is then the matrix of n rows
+    with a.x = b.  Returns Fractions.
     """
     n = _require_square(a, b)
-    rows, pivots, _, _ = _echelon(a, b)
+    several = n > 0 and isinstance(b[0], (tuple, list))
+    rhs = b if several else [(v,) for v in b]
+    rows, pivots, _, _ = _echelon(a, rhs)
     if len(pivots) < n:
         return None
     # The last pivot d is +-det of the integral rows, so by Cramer's rule
     # y = d.x is integral and back-substitution divides exactly.
     d = rows[-1][n - 1] if n else 1
-    y = [0] * n
+    y = [None] * n
     for i in reversed(range(n)):
         row = rows[i]
-        y[i] = (d * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return tuple(Fraction(v, d) for v in y)
+        y[i] = [
+            (d * v - sum(row[j] * y[j][c] for j in range(i + 1, n))) // row[i]
+            for c, v in enumerate(row[n:])
+        ]
+    x = tuple(tuple(Fraction(v, d) for v in yi) for yi in y)
+    return x if several else tuple(xi[0] for xi in x)
 
 
 def adjugate(a) -> tuple[int, IntMatrix]:
     """``(det a, adj a)`` of an invertible integer matrix, so a.adj = det.I.
 
-    T.a = c is then solved for many c by the integer product c.adj and one
-    divisibility test by det, with no further elimination.
+    adj = det.a^-1 comes from one solve of [a | I].  T.a = c is then solved
+    for many c by the integer product c.adj and one divisibility test by
+    det, with no further elimination.
     """
     n = _require_square(a)
-    den, unit = det(a), identity(n)
+    den = det(a)
     if den == 0:
         raise ValueError("matrix is singular")
-    cols = [[den * v for v in solve_unique(a, unit[j])] for j in range(n)]
-    if any(v.denominator != 1 for col in cols + [[den]] for v in col):
+    if any(v != int(v) for row in a for v in row):
         raise ValueError("matrix is not integral")
-    return int(den), freeze(transpose(cols))
+    den = int(den)
+    return den, tuple(
+        tuple(den // v.denominator * v.numerator for v in row)
+        for row in solve_unique(a, identity(n))
+    )
 
 
 def invert_unimodular(u) -> IntMatrix:
