@@ -4,18 +4,23 @@ Deterministic by construction: reports serialize through a canonical
 JSON writer (sorted keys, floats as %.15e, complex as [re, im]), so
 identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage/parse/io error, 2 verification failure
-or invalid configuration, 3 numeric/evaluation error.
+Each subcommand and verify target is one row of ``_COMMANDS``.  Exit
+codes: 0 success, 2 a failed verdict, and for an error its class's
+``exit_code`` (errors.py): 1 usage/parse/io, 2 invalid configuration,
+3 numeric/evaluation.
 """
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, Optional
 
 from .configs import (
     CATALOG_NAMES,
@@ -23,32 +28,10 @@ from .configs import (
     catalog,
     chart_of,
     entry_of,
+    saturation_gaps,
     validate_configuration,
 )
-from .errors import (
-    ConfigMismatch,
-    DegenerateCone,
-    DimensionMismatch,
-    FitUnstable,
-    GkzError,
-    IoError,
-    LatticeNotSpanned,
-    LeavesConfiguration,
-    NoSuchBlockStructure,
-    NotConverged,
-    NotFullRank,
-    NotNegativeInteger,
-    NoXi,
-    OutOfDomain,
-    ParseError,
-    PoleInC,
-    PoleInGamma,
-    SingularOnCycle,
-    TooLarge,
-    UnknownName,
-    UnsupportedParameters,
-    UsageError,
-)
+from .errors import GkzError, IoError, ParseError, UnknownName, UsageError
 from .evaluate import (
     QuadratureSettings,
     derivative_integral,
@@ -72,29 +55,6 @@ from .verify import (
     verify_pde,
     verify_pfaff,
     verify_quadric_multivaluedness,
-)
-
-_USAGE_ERRORS = (UsageError, ParseError, IoError, UnknownName)
-_VALIDATION_ERRORS = (
-    NotFullRank,
-    LatticeNotSpanned,
-    NoXi,
-    NoSuchBlockStructure,
-    ConfigMismatch,
-    DimensionMismatch,
-    NotNegativeInteger,
-    LeavesConfiguration,
-    DegenerateCone,
-)
-_NUMERIC_ERRORS = (
-    NotConverged,
-    SingularOnCycle,
-    PoleInC,
-    PoleInGamma,
-    OutOfDomain,
-    UnsupportedParameters,
-    FitUnstable,
-    TooLarge,
 )
 
 
@@ -155,16 +115,6 @@ def emit_report(report, format: str = "json") -> str:
         word = "PASS" if report.passed else "FAIL"
         return f"{word} max_residual={report.max_residual:.6e}\n"
     raise UsageError(f"unknown format {format!r}")
-
-
-def _write_output(text: str, out_path):
-    if out_path:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
 
 
 # ==========================================================================
@@ -260,6 +210,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _at_least(kind, low):
+    """An argparse type: kind(text), refused outside [low, inf)."""
+
+    def convert(text):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text} is not in [{low}, inf)")
+        return value
+
+    # argparse reports a ValueError of kind() as "invalid <name> value"
+    convert.__name__ = kind.__name__
+    return convert
+
+
+# the floor keeps the derived abs_tol = tol * 1e-4 clear of underflow to 0
+_tolerance = _at_least(float, 1e-300)
+
+
 def _parse_numbers(text: str, what: str):
     out = []
     for tok in text.split(","):
@@ -272,39 +240,29 @@ def _parse_numbers(text: str, what: str):
     return tuple(out)
 
 
+_AXES = {
+    **dict.fromkeys(("pos", "positive", "positive_axis"), positive_axis),
+    **dict.fromkeys(("neg", "negative", "negative_axis"), negative_axis),
+    **dict.fromkeys(("real", "real_line"), real_line),
+    **dict.fromkeys(("interval", "unit_interval"), unit_interval),
+    **dict.fromkeys(("circle", "unit_circle"), unit_circle),
+}
+
+
 def _parse_cycle(text: str):
     axes = []
     for tok in text.split(","):
         tok = tok.strip().lower()
-        if tok in ("pos", "positive", "positive_axis"):
-            axes.append(positive_axis())
-        elif tok.startswith("pos:"):
+        if tok.startswith("pos:"):
             try:
                 axes.append(positive_axis(float(tok[4:])))
             except ValueError as exc:
                 raise UsageError(f"bad ray phase in {tok!r}") from exc
-        elif tok in ("neg", "negative", "negative_axis"):
-            axes.append(negative_axis())
-        elif tok in ("real", "real_line"):
-            axes.append(real_line())
-        elif tok in ("interval", "unit_interval"):
-            axes.append(unit_interval())
-        elif tok in ("circle", "unit_circle"):
-            axes.append(unit_circle())
+        elif tok in _AXES:
+            axes.append(_AXES[tok]())
         else:
             raise UsageError(f"unknown cycle token {tok!r}")
     return tuple(axes)
-
-
-def _source_of(args, default=None) -> str:
-    src = getattr(args, "source", None)
-    cat = getattr(args, "catalog", None)
-    if src and cat:
-        raise UsageError("give either a positional source or --catalog")
-    source = src or cat or default
-    if source is None:
-        raise UsageError("a configuration source is required")
-    return source
 
 
 def _cycle_of(text, r: int):
@@ -314,109 +272,36 @@ def _cycle_of(text, r: int):
     return tuple(positive_axis() for _ in range(r))
 
 
-def _settings(args) -> QuadratureSettings:
-    tol = getattr(args, "tol", None)
+def _config(source: str) -> PointConfiguration:
+    if not source:
+        raise UsageError("a configuration source is required")
+    return load_config(source)
+
+
+def _settings(tol) -> QuadratureSettings:
+    """Quadrature tolerances from --tol, else GKZ_TOL, else 1e-10."""
     if tol is None:
         env = os.environ.get("GKZ_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as exc:
-                raise UsageError(f"bad GKZ_TOL value {env!r}") from exc
-        else:
-            tol = 1e-10
+        try:
+            tol = 1e-10 if env is None else _tolerance(env)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise UsageError(f"bad GKZ_TOL value {env!r}") from exc
     return QuadratureSettings(rel_tol=tol, abs_tol=min(1e-14, tol * 1e-4))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="gkz", description="toric hypergeometric toolkit")
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    def output(p, out_help=None):
-        p.add_argument("--out", help=out_help)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("source", nargs="?", help="file path or catalog name")
-        p.add_argument("--catalog", help="catalog name")
-        return output(p, "write output to this path")
-
-    add("catalog", "list catalog entries or emit one configuration")
-    p = add("validate", "validate a configuration")
-    p.add_argument(
-        "--degree-bound", type=int, default=None,
-        help="also scan semigroup gaps up to this degree",
-    )
-    add("xi", "print the grading covector")
-    p = add("standard-form", "block standard form of a configuration")
-    p.add_argument("--m", type=int, default=1, help="number of blocks")
-    add("symmetries", "enumerate the symmetry group")
-    add("transforms", "induced parameter/coefficient transformations")
-    p = add("eval", "evaluate the dehomogenized integral")
-    p.add_argument("--beta", required=True, help="comma-separated parameters")
-    p.add_argument("--x", required=True, help="comma-separated coefficients")
-    p.add_argument("--cycle", default=None, help="comma-separated axis kinds")
-    p.add_argument("--u", default=None, help="derivative multi-order")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None)
-
-    v = sub.add_parser("verify", help="identity checks")
-    vsub = v.add_subparsers(dest="target", metavar="target")
-    vp = vsub.add_parser("pfaff", help="series reflection identity")
-    vp.add_argument("--samples", type=int, default=10)
-    output(vp)
-    vq = vsub.add_parser("quadric", help="half-turn phase identities")
-    vq.add_argument("--tol", type=float, default=None)
-    output(vq)
-    vd = vsub.add_parser("pde", help="annihilation by the toric system")
-    vd.add_argument("source", nargs="?")
-    vd.add_argument("--catalog")
-    vd.add_argument("--beta", default=None)
-    vd.add_argument("--x", default=None)
-    vd.add_argument("--cycle", default=None)
-    vd.add_argument("--tol", type=float, default=None)
-    output(vd)
-    vb = vsub.add_parser("binomial", help="finite binomial-sum identity")
-    vb.add_argument("source", nargs="?")
-    vb.add_argument("--catalog")
-    vb.add_argument("--n", type=int, default=2, help="order of the pole slot")
-    vb.add_argument(
-        "--shift",
-        type=float,
-        default=None,
-        help="shift t (default 1 for the quadric, 0.4 for the square)",
-    )
-    vb.add_argument("--tol", type=float, default=None)
-    output(vb)
-    vg = vsub.add_parser("group", help="every group element as an identity")
-    vg.add_argument("source", nargs="?")
-    vg.add_argument("--catalog")
-    vg.add_argument("--samples", type=int, default=6)
-    vg.add_argument(
-        "--evaluator", choices=("classical", "integral"), default=None
-    )
-    vg.add_argument("--tol", type=float, default=None)
-    output(vg)
-
-    output(sub.add_parser("f4-report", help="non-existence certificate"))
-    return parser
-
-
 # ==========================================================================
-# subcommand implementations
+# subcommand handlers: each returns a plain document or a report
 # ==========================================================================
 
-def _cmd_catalog(args):
-    src = _source_of(args, default="")
-    if not src:
-        return {"entries": list(CATALOG_NAMES)}, 0
-    return config_to_json(load_config(src)), 0
+
+def _catalog(args):
+    if not args.source:
+        return {"entries": list(CATALOG_NAMES)}
+    return config_to_json(load_config(args.source))
 
 
-def _cmd_validate(args):
-    config = load_config(_source_of(args))
+def _validate(args):
+    config = _config(args.source)
     doc = {
         "valid": True,
         "name": config.name or "",
@@ -425,23 +310,16 @@ def _cmd_validate(args):
         "xi": list(config.xi),
     }
     if args.degree_bound is not None:
-        from .configs import saturation_gaps
-
         gaps = saturation_gaps(config, args.degree_bound)
         doc["saturation"] = {
             "degree_bound": args.degree_bound,
             "gaps": [list(g) for g in gaps],
         }
-    return doc, 0
+    return doc
 
 
-def _cmd_xi(args):
-    config = load_config(_source_of(args))
-    return list(config.xi), 0
-
-
-def _cmd_standard_form(args):
-    config = load_config(_source_of(args))
+def _standard_form(args):
+    config = _config(args.source)
     sf = chart_of(config, args.m)
     return {
         "name": config.name or "",
@@ -450,24 +328,17 @@ def _cmd_standard_form(args):
         "u_matrix": [list(r) for r in sf.u_matrix],
         "transformed": [list(r) for r in sf.transformed],
         "blocks": [[j + 1 for j in blk] for blk in sf.blocks],
-    }, 0
+    }
 
 
-def _cmd_symmetries(args):
-    config = load_config(_source_of(args))
-    group = find_symmetries(config)
-    return group.to_json(), 0
+def _transforms(args):
+    config = _config(args.source)
+    out = [induced_transformation(s).to_json() for s in find_symmetries(config)]
+    return {"name": config.name or "", "count": len(out), "transformations": out}
 
 
-def _cmd_transforms(args):
-    config = load_config(_source_of(args))
-    group = find_symmetries(config)
-    out = [induced_transformation(sym).to_json() for sym in group]
-    return {"name": config.name or "", "count": len(out), "transformations": out}, 0
-
-
-def _cmd_eval(args):
-    config = load_config(_source_of(args))
+def _eval(args):
+    config = _config(args.source)
     beta = _parse_numbers(args.beta, "beta")
     x = _parse_numbers(args.x, "x")
     sf = chart_of(config, args.m)
@@ -479,63 +350,34 @@ def _cmd_eval(args):
             raise UsageError("--u must be comma-separated integers") from exc
     else:
         u = (0,) * config.n
-    res = derivative_integral(sf, beta, x, u, cycle, _settings(args))
-    return res.to_json(), 0
+    res = derivative_integral(sf, beta, x, u, cycle, _settings(args.tol))
+    return res.to_json()
 
 
-class _AggregateReport:
-    """Minimal report shim so emit_report can render grouped results."""
-
-    def __init__(self, doc: dict, passed: bool, max_residual: float):
-        self._doc = doc
-        self.passed = passed
-        self.max_residual = max_residual
-
-    def to_json(self) -> dict:
-        return self._doc
-
-
-def _report_result(report):
-    return report, 0 if report.passed else 2
-
-
-def _cmd_verify(args):
-    if args.target == "pfaff":
-        return _report_result(verify_pfaff(samples=args.samples))
-    if args.target == "quadric":
-        return _report_result(
-            verify_quadric_multivaluedness(settings=_settings(args))
-        )
-    if args.target == "pde":
-        if (args.beta is None) != (args.x is None):
-            raise UsageError("give both --beta and --x, or neither")
-        config = load_config(_source_of(args, "gauss"))
-        if args.beta is None:
-            ent = entry_of(config)
-            sample = ent.pde_sample if ent else None
-            if sample is None:
-                raise UsageError(
-                    "--beta and --x are required for configurations "
-                    "without built-in samples"
-                )
-            beta, x = sample.beta, sample.x
-            cycle = _parse_cycle(args.cycle or sample.cycle)
-        else:
-            beta = _parse_numbers(args.beta, "beta")
-            x = _parse_numbers(args.x, "x")
-            # verify_pde works in the one-block chart: r = d - 1
-            cycle = _cycle_of(args.cycle, config.d - 1)
-        report = verify_pde(config, beta, x, cycle, settings=_settings(args))
-        return _report_result(report)
-    if args.target == "binomial":
-        return _report_result(_binomial_report(args))
-    if args.target == "group":
-        return _group_report(args)
-    raise UsageError("verify needs a target: pfaff, quadric, pde, binomial, group")
+def _verify_pde(args):
+    if (args.beta is None) != (args.x is None):
+        raise UsageError("give both --beta and --x, or neither")
+    config = _config(args.source)
+    if args.beta is None:
+        ent = entry_of(config)
+        sample = ent.pde_sample if ent else None
+        if sample is None:
+            raise UsageError(
+                "--beta and --x are required for configurations "
+                "without built-in samples"
+            )
+        beta, x = sample.beta, sample.x
+        cycle = _parse_cycle(args.cycle or sample.cycle)
+    else:
+        beta = _parse_numbers(args.beta, "beta")
+        x = _parse_numbers(args.x, "x")
+        # verify_pde works in the one-block chart: r = d - 1
+        cycle = _cycle_of(args.cycle, config.d - 1)
+    return verify_pde(config, beta, x, cycle, settings=_settings(args.tol))
 
 
-def _binomial_report(args):
-    config = load_config(_source_of(args, "quadric"))
+def _verify_binomial(args):
+    config = _config(args.source)
     ent = entry_of(config)
     sample = ent.binomial_sample if ent else None
     if sample is None:
@@ -551,94 +393,193 @@ def _binomial_report(args):
     identity = binomial_expansion_identity(sf, auto, beta, args.n)
     grid = SampleGrid(points=tuple((beta, x) for x in sample.xs))
     return verify_binomial_identity(
-        identity, grid, settings=_settings(args), cycle=cycle
+        identity, grid, settings=_settings(args.tol), cycle=cycle
     )
 
 
-def _group_report(args):
-    config = load_config(_source_of(args, "square"))
+@dataclass
+class _GroupReport:
+    """Every element report of one group, rendered like one report."""
+
+    doc: dict
+    passed: bool
+    max_residual: float
+
+    def to_json(self) -> dict:
+        return self.doc
+
+
+def _verify_group(args):
+    config = _config(args.source)
     group = find_symmetries(config)
     ent = entry_of(config)
     if ent is None:
         raise UnknownName("configuration is not in the catalog")
     evaluator = args.evaluator or ent.group_evaluator
     grid = SampleGrid.for_entry(ent, count=args.samples)
-    reports = []
-    all_pass = True
-    for sym in group:
-        tr = induced_transformation(sym)
-        rep = verify_linear_transformation(
-            config, tr, grid, evaluator=evaluator, settings=_settings(args)
+    settings = _settings(args.tol)
+    reports = [
+        verify_linear_transformation(
+            config, induced_transformation(sym), grid,
+            evaluator=evaluator, settings=settings,
         )
-        reports.append(rep.to_json())
-        all_pass = all_pass and rep.passed
-    worst = max((r["max_residual"] for r in reports), default=0.0)
+        for sym in group
+    ]
+    all_pass = all(rep.passed for rep in reports)
+    worst = max((rep.max_residual for rep in reports), default=0.0)
     doc = {
         "description": f"group identities for {config.name or 'configuration'}",
         "order": len(reports),
         "evaluator": evaluator,
         "verdict": "pass" if all_pass else "fail",
         "max_residual": worst,
-        "elements": reports,
+        "elements": [rep.to_json() for rep in reports],
     }
-    return _AggregateReport(doc, all_pass, worst), 0 if all_pass else 2
-
-
-def _cmd_f4_report(args):
-    report = f4_nonexistence_report()
-    return report, 0 if report.passed else 2
+    return _GroupReport(doc, all_pass, worst)
 
 
 # ==========================================================================
-# dispatch
+# the command table and dispatch
 # ==========================================================================
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: a leaf with a handler, or a group of targets.
+
+    A leaf with a source takes a positional source or --catalog, and falls
+    back to source ("" for none); every leaf takes --out and --format.
+    """
+
+    name: str
+    help: str
+    run: Optional[Callable] = None
+    source: Optional[str] = None
+    options: tuple = ()
+    targets: tuple = ()
+
+
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+_TOL = _opt("--tol", type=_tolerance)
+
+_COMMANDS = (
+    _Command("catalog", "list catalog entries or emit one configuration", _catalog,
+             source=""),
+    _Command("validate", "validate a configuration", _validate, source="", options=(
+        _opt("--degree-bound", type=int,
+             help="also scan semigroup gaps up to this degree"),
+    )),
+    _Command("xi", "print the grading covector",
+             lambda args: list(_config(args.source).xi), source=""),
+    _Command("standard-form", "block standard form of a configuration",
+             _standard_form, source="", options=(
+                 _opt("--m", type=int, default=1, help="number of blocks"),
+             )),
+    _Command("symmetries", "enumerate the symmetry group",
+             lambda args: find_symmetries(_config(args.source)).to_json(),
+             source=""),
+    _Command("transforms", "induced parameter/coefficient transformations",
+             _transforms, source=""),
+    _Command("eval", "evaluate the dehomogenized integral", _eval, source="", options=(
+        _opt("--beta", required=True, help="comma-separated parameters"),
+        _opt("--x", required=True, help="comma-separated coefficients"),
+        _opt("--cycle", help="comma-separated axis kinds"),
+        _opt("--u", help="derivative multi-order"),
+        _opt("--m", type=int, default=1),
+        _TOL,
+    )),
+    _Command("verify", "identity checks", targets=(
+        _Command("pfaff", "series reflection identity",
+                 lambda args: verify_pfaff(samples=args.samples), options=(
+                     _opt("--samples", type=_at_least(int, 1), default=10),
+                 )),
+        _Command("quadric", "half-turn phase identities",
+                 lambda args: verify_quadric_multivaluedness(_settings(args.tol)),
+                 options=(_TOL,)),
+        _Command("pde", "annihilation by the toric system", _verify_pde, source="gauss",
+                 options=(_opt("--beta"), _opt("--x"), _opt("--cycle"), _TOL)),
+        _Command("binomial", "finite binomial-sum identity", _verify_binomial,
+                 source="quadric", options=(
+                     _opt("--n", type=int, default=2, help="order of the pole slot"),
+                     _opt("--shift", type=float, help="shift t (default 1 for the "
+                          "quadric, 0.4 for the square)"),
+                     _TOL,
+                 )),
+        _Command("group", "every group element as an identity", _verify_group,
+                 source="square", options=(
+                     _opt("--samples", type=_at_least(int, 2), default=6),
+                     _opt("--evaluator", choices=("classical", "integral")),
+                     _TOL,
+                 )),
+    )),
+    _Command("f4-report", "non-existence certificate",
+             lambda args: f4_nonexistence_report()),
+)
+
+
+def _add_commands(parser, commands, metavar: str):
+    sub = parser.add_subparsers(metavar=metavar)
+    for cmd in commands:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(command=cmd)
+        if cmd.targets:
+            _add_commands(p, cmd.targets, "target")
+            continue
+        if cmd.source is not None:
+            p.add_argument("source", nargs="?", help="file path or catalog name")
+            p.add_argument("--catalog", help="catalog name")
+        p.add_argument("--out", help="write output to this path")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        for flags, kwargs in cmd.options:
+            p.add_argument(*flags, **kwargs)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="gkz", description="toric hypergeometric toolkit")
+    parser.set_defaults(command=None)
+    _add_commands(parser, _COMMANDS, "subcommand")
+    return parser
 
 
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
+    cmd = args.command
+    if cmd is None:
         raise UsageError(parser.format_usage())
-    handlers = {
-        "catalog": _cmd_catalog,
-        "validate": _cmd_validate,
-        "xi": _cmd_xi,
-        "standard-form": _cmd_standard_form,
-        "symmetries": _cmd_symmetries,
-        "transforms": _cmd_transforms,
-        "eval": _cmd_eval,
-        "verify": _cmd_verify,
-        "f4-report": _cmd_f4_report,
-    }
-    result, code = handlers[args.command](args)
-    fmt = getattr(args, "format", "json")
-    if hasattr(result, "to_json") and not isinstance(result, dict):
-        text = emit_report(result, fmt)
+    if cmd.targets:
+        names = ", ".join(t.name for t in cmd.targets)
+        raise UsageError(f"{cmd.name} needs a target: {names}")
+    if cmd.source is not None:
+        if args.source and args.catalog:
+            raise UsageError("give either a positional source or --catalog")
+        args.source = args.source or args.catalog or cmd.source
+    result = cmd.run(args)
+    if isinstance(result, (dict, list)):
+        text, code = canonical_json(result) + "\n", 0
     else:
-        text = canonical_json(result) + "\n"
-    _write_output(text, getattr(args, "out", None))
+        text, code = emit_report(result, args.format), 0 if result.passed else 2
+    if args.out:
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise IoError(f"cannot write {args.out}: {exc}") from exc
+    else:
+        sys.stdout.write(text)
     return code
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        return run(list(argv))
+        return run(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GkzError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code of a ``gkz`` command it ends:
+1 (usage, parse or io): UsageError, ParseError, IoError, UnknownName
+3 (numeric): NotConverged, SingularOnCycle, PoleInC, PoleInGamma,
+  OutOfDomain, UnsupportedParameters, FitUnstable, TooLarge
+2 (invalid configuration and the rest): every other class
+"""
 
 
 class GkzError(Exception):
     """Base class for all package errors."""
+    exit_code = 2
 
 
 class NotFullRank(GkzError):
@@ -23,6 +31,7 @@ class NoSuchBlockStructure(GkzError):
 
 class UnknownName(GkzError):
     """Catalog name not recognized."""
+    exit_code = 1
 
 
 class DegenerateCone(GkzError):
@@ -31,6 +40,7 @@ class DegenerateCone(GkzError):
 
 class TooLarge(GkzError):
     """Enumeration refused because the instance exceeds the supported size."""
+    exit_code = 3
 
 
 class ConfigMismatch(GkzError):
@@ -51,42 +61,52 @@ class NotNegativeInteger(GkzError):
 
 class SingularOnCycle(GkzError):
     """Integrand vanishes or is ill-defined somewhere on the requested cycle."""
+    exit_code = 3
 
 
 class NotConverged(GkzError):
     """Iterative evaluation failed to reach the requested tolerance."""
+    exit_code = 3
 
 
 class PoleInC(GkzError):
     """Lower parameter of a hypergeometric series is a nonpositive integer."""
+    exit_code = 3
 
 
 class OutOfDomain(GkzError):
     """Arguments fall outside every implemented convergence region."""
+    exit_code = 3
 
 
 class PoleInGamma(GkzError):
     """log-gamma evaluated at a nonpositive integer."""
+    exit_code = 3
 
 
 class UnsupportedParameters(GkzError):
     """Operation is only defined for a restricted parameter range."""
+    exit_code = 3
 
 
 class FitUnstable(GkzError):
     """Fitted proportionality constant varies beyond tolerance across samples."""
+    exit_code = 3
 
 
 class ParseError(GkzError):
     """Input file or literal could not be parsed."""
+    exit_code = 1
 
 
 class UsageError(GkzError):
     """Command line invoked with inconsistent or missing arguments."""
+    exit_code = 1
 
 
 class IoError(GkzError):
     """Report could not be written."""
+    exit_code = 1
 
 
 class BranchAmbiguityWarning(UserWarning):

@@ -33,6 +33,9 @@ from .errors import (
 )
 
 _INT_TOL = 1e-12
+# geometric tail marching on a ray: segment [lo, 3 lo], at most 60 of them
+_TAIL_GROWTH = 3.0
+_TAIL_SEGMENTS = 60
 
 
 # ==========================================================================
@@ -122,8 +125,6 @@ class QuadratureSettings:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 200
-    truncation_growth: float = 3.0
-    max_segments: int = 60
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -485,12 +486,11 @@ class _IteratedIntegral:
     def _ray_marched(self, h, k):
         # fallback: geometric tail marching until the last segment no
         # longer contributes
-        s = self.settings
         rel, at = self._axis_tols(k)
         total, err, _ = self._quad(h, 0.0, 1.0, k)
-        lo, g = 1.0, s.truncation_growth
+        lo, g = 1.0, _TAIL_GROWTH
         quiet = 0
-        for _ in range(s.max_segments):
+        for _ in range(_TAIL_SEGMENTS):
             v, e, _ = self._quad(h, lo, lo * g, k)
             total += v
             err += e
@@ -504,7 +504,7 @@ class _IteratedIntegral:
                 quiet = 0
         raise NotConverged(
             f"ray tail on axis {k + 1} still contributes after "
-            f"{s.max_segments} geometric segments"
+            f"{_TAIL_SEGMENTS} geometric segments"
         )
 
     def _quad(self, h, a, b, k, record=True):

@@ -40,6 +40,9 @@ from .symmetry import verify_symmetry
 from .transforms import BinomialIdentity, LinearTransformation, apply
 
 _TINY = 1e-300
+# verify_pde's verdict: homogeneity and toric residuals below these
+_EULER_TOL = 1e-8
+_TORIC_TOL = 1e-6
 
 
 # ==========================================================================
@@ -114,9 +117,12 @@ class IdentityReport:
 
 
 def _finish_report(
-    description, points, lhs, rhs, scale, threshold, notes, extra_residuals=()
+    description, points, lhs, rhs, scale, threshold, notes
 ) -> IdentityReport:
     """Shared fit-then-validate tail of every identity check."""
+    if len(lhs) < 2:
+        # kappa fitted at the only sample matches it by construction
+        raise FitUnstable(f"fitting a constant needs 2 samples, got {len(lhs)}")
     denom = scale * rhs[0]
     if abs(denom) < 1e-250 or not cmath.isfinite(denom):
         raise FitUnstable("first sample gives no usable value to fit against")
@@ -125,7 +131,6 @@ def _finish_report(
         abs(l - kappa * scale * r) / max(abs(l), _TINY)
         for l, r in zip(lhs, rhs)
     ]
-    residuals.extend(extra_residuals)
     verdict = "pass" if max(residuals) < threshold else "fail"
     return IdentityReport(
         description=description,
@@ -194,8 +199,6 @@ def verify_pde(
     x,
     cycle,
     settings: Optional[QuadratureSettings] = None,
-    toric_tol: float = 1e-6,
-    euler_tol: float = 1e-8,
 ) -> IdentityReport:
     """Check annihilation by the toric and homogeneity operators.
 
@@ -235,13 +238,13 @@ def verify_pde(
             / max(abs(lu.value), abs(lv.value), _TINY)
         )
     residuals.extend(toric_res)
-    ok = converged and euler_max < euler_tol and all(
-        t < toric_tol for t in toric_res
+    ok = converged and euler_max < _EULER_TOL and all(
+        t < _TORIC_TOL for t in toric_res
     )
     notes = [
-        f"euler residual max {euler_max:.3e} (tol {euler_tol:.1e}); "
+        f"euler residual max {euler_max:.3e} (tol {_EULER_TOL:.1e}); "
         f"toric residual max {max(toric_res, default=0.0):.3e} "
-        f"(tol {toric_tol:.1e})",
+        f"(tol {_TORIC_TOL:.1e})",
         "equal-degree mixed partials share one integral formula in the "
         "dehomogenized chart, so the toric residual checks bookkeeping "
         "and quadrature reproducibility",
@@ -257,7 +260,7 @@ def verify_pde(
         residuals=residuals,
         verdict="pass" if ok else "fail",
         notes=notes,
-        threshold=euler_tol,
+        threshold=_EULER_TOL,
     )
 
 
@@ -272,19 +275,17 @@ def verify_linear_transformation(
     grid: SampleGrid,
     evaluator: str = "classical",
     settings: Optional[QuadratureSettings] = None,
-    cycle=None,
-    threshold: Optional[float] = None,
 ) -> IdentityReport:
     """Check F(beta; x) = kappa * scale * F(T beta; x') on a grid.
 
     kappa is fitted at the first grid point and reused; it equals 1 when
     both sides are evaluated on the same positive cycle with principal
-    branches, and a unit branch factor otherwise.
+    branches, and a unit branch factor otherwise.  The integral evaluator
+    takes the positive axis in every chart variable.
     """
     if evaluator not in ("classical", "integral"):
         raise UnknownName(f"unknown evaluator {evaluator!r}")
-    if threshold is None:
-        threshold = 1e-10 if evaluator == "classical" else 1e-6
+    threshold = 1e-10 if evaluator == "classical" else 1e-6
     ent = entry_of(config)
     if ent is None:
         raise UnknownName("configuration is not in the catalog")
@@ -303,9 +304,7 @@ def verify_linear_transformation(
             rhs.append(classical_solution(ent, p2, x2))
     else:
         sf = ent.standard_form(1)
-        cyc = cycle if cycle is not None else tuple(
-            positive_axis() for _ in range(sf.r)
-        )
+        cyc = tuple(positive_axis() for _ in range(sf.r))
         bad = 0
         for beta, x in points:
             b2, x2 = apply(tr, beta, x)
@@ -374,7 +373,6 @@ def verify_pfaff(samples: int = 10) -> IdentityReport:
 
 def verify_quadric_multivaluedness(
     settings: Optional[QuadratureSettings] = None,
-    threshold: float = 1e-8,
 ) -> IdentityReport:
     """Reversal and half-turn identities for the quadric integrals.
 
@@ -458,7 +456,7 @@ def verify_quadric_multivaluedness(
         f"exp(2 pi i <k, beta>) with k = {kvec}, as the full turn crosses "
         "the cut of the quadratic factor and winds the pure power once",
     ]
-    verdict = "pass" if max(residuals) < threshold else "fail"
+    verdict = "pass" if max(residuals) < 1e-8 else "fail"
     return IdentityReport(
         description="quadric half-turn and reversal identities",
         sample_points=points,
@@ -468,13 +466,13 @@ def verify_quadric_multivaluedness(
         residuals=residuals,
         verdict=verdict,
         notes=notes,
-        threshold=threshold,
+        threshold=1e-8,
     )
 
 
-def _branch_subgroup_match(target: complex, beta, bound: int = 3):
-    for k1 in range(-bound, bound + 1):
-        for k2 in range(-bound, bound + 1):
+def _branch_subgroup_match(target: complex, beta):
+    for k1 in range(-3, 4):
+        for k2 in range(-3, 4):
             val = cmath.exp(2j * math.pi * (k1 * beta[0] + k2 * beta[1]))
             if abs(val - target) < 1e-9:
                 return (k1, k2)
@@ -490,7 +488,6 @@ def verify_binomial_identity(
     identity: BinomialIdentity,
     grid,
     settings: Optional[QuadratureSettings] = None,
-    threshold: float = 1e-6,
     cycle=None,
 ) -> IdentityReport:
     """LHS integral vs the finite sum of shifted-coefficient integrals.
@@ -502,6 +499,7 @@ def verify_binomial_identity(
     the left side and the individual right-hand terms, so a sample where
     both sides vanish by symmetry cannot certify the identity for free.
     """
+    threshold = 1e-6
     sf = identity.standard_form
     auto = identity.automorphism
     if cycle is None:
@@ -629,7 +627,7 @@ _F4_T = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, 2, -1, -1))
 _F4_PERM = (2, 1, 0, 5, 4, 3)
 
 
-def _f4_row_series(a, b, c, cp, y1, y2, rel=1e-15, max_rows=800) -> complex:
+def _f4_row_series(a, b, c, cp, y1, y2) -> complex:
     """Double series summed by rows in the first argument.
 
     Row r contributes (a)_r (b)_r / ((c)_r r!) y1^r * 2F1(a+r, b+r; c'; y2);
@@ -639,10 +637,10 @@ def _f4_row_series(a, b, c, cp, y1, y2, rel=1e-15, max_rows=800) -> complex:
     coef = 1 + 0j
     total = 0j
     small = 0
-    for r in range(max_rows):
+    for r in range(800):
         row = coef * gauss_2f1(a + r, b + r, cp, y2)
         total += row
-        if r >= 2 and abs(row) <= rel * abs(total):
+        if r >= 2 and abs(row) <= 1e-15 * abs(total):
             small += 1
             if small >= 2:
                 return total
