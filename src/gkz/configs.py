@@ -139,12 +139,6 @@ class StandardForm:
         """r x n matrix; column j is the dehomogenized exponent of monomial j."""
         return self.transformed[self.m :]
 
-    def block_of_column(self, j: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if j in blk:
-                return i
-        raise IndexError(j)
-
     def transform_parameters(self, beta: Sequence) -> tuple:
         """beta' = U.beta; accepts exact or floating entries."""
         if len(beta) != self.base.d:
@@ -720,7 +714,7 @@ def facet_normals(config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
         sub = tuple(cols[j] for j in subset)
         if lattice.rank(sub) != d - 1:
             continue
-        normal = _hyperplane_normal(sub, d)
+        normal = _hyperplane_normal(sub)
         if normal is None:
             continue
         pairings = [sum(normal[i] * c[i] for i in range(d)) for c in cols]
@@ -739,7 +733,7 @@ def facet_normals(config: PointConfiguration) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def _hyperplane_normal(sub, d) -> Optional[tuple[int, ...]]:
+def _hyperplane_normal(sub) -> Optional[tuple[int, ...]]:
     """Primitive integer normal of the span of d-1 independent vectors."""
     kern = lattice.kernel_basis_int(sub)
     if len(kern) != 1:
@@ -768,7 +762,7 @@ def saturation_gaps(config: PointConfiguration, degree_bound: int) -> tuple:
     gaps = []
     for g in range(degree_bound + 1):
         for z in _cone_points_of_degree(config, normals, g):
-            if not _semigroup_member(cols, config.xi, z, g):
+            if not _semigroup_member(cols, z, g):
                 gaps.append(z)
     return tuple(gaps)
 
@@ -793,7 +787,7 @@ def _cone_points_of_degree(config, normals, g):
             yield point
 
 
-def _semigroup_member(cols, xi, target, degree) -> bool:
+def _semigroup_member(cols, target, degree) -> bool:
     """Is target a nonnegative integer combination of the columns?
 
     The xi-grading bounds every multiplicity by the degree, so a depth

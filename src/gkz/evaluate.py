@@ -567,7 +567,7 @@ def _arg_jump(prev: complex, cur: complex) -> bool:
 # ==========================================================================
 
 
-def homogenization_constant(m: int, beta_head, tau=None) -> complex:
+def homogenization_constant(m: int, beta_head) -> complex:
     """Torus-skeleton factor, normalized by (2 pi i)^m.
 
     For one block the skeleton integrand is constant.  For several blocks

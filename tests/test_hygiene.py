@@ -122,3 +122,38 @@ def test_scan_flags_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text() for path in ALL_MODULES}
     assert unreferenced_private(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of a ``def`` that its body never reads.  ``self`` and
+    ``cls`` are exempt; lambdas are not scanned, since the CLI's handlers
+    take ``args`` whether or not they use it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs,
+                  *(p for p in (spec.vararg, spec.kwarg) if p)]
+        read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        out += [f"line {node.lineno}: {node.name}({p.arg})" for p in params
+                if p.arg not in ("self", "cls", *read)]
+    return out
+
+
+def test_scan_flags_an_unread_parameter():
+    src = ("def f(a, b, *rest, tau=None, **kw):\n    return a + kw['x']\n\n"
+           "class C:\n    def m(self, x):\n        def inner():\n"
+           "            return x\n        return inner\n\n"
+           "    @classmethod\n    def make(cls, y):\n        return y\n\n"
+           "handler = lambda args: 0\n")
+    assert unread_parameters(src) == [
+        "line 1: f(b)", "line 1: f(tau)", "line 1: f(rest)"]
+    # a parameter that is only overwritten is never read
+    assert unread_parameters("def g(k):\n    k = 2\n    return 0\n") == ["line 1: g(k)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
