@@ -243,8 +243,8 @@ def verify_pde(
         f"euler residual max {euler_max:.3e} (tol {_EULER_TOL:.1e}); "
         f"toric residual max {0.0:.3e} (tol {_TORIC_TOL:.1e})",
         "equal-degree mixed partials share one integral formula in the "
-        "dehomogenized chart, so the toric residual checks bookkeeping "
-        "and quadrature reproducibility",
+        "dehomogenized chart, so one integral serves both sides of each "
+        "toric row and the toric residual is 0 by construction",
     ]
     if not converged:
         notes.append("at least one quadrature did not converge")
