@@ -13,8 +13,13 @@ variables folded into the block coefficients and each block sum a
 log-sum-exp over its monomials.  Its window reaches e^-40 below the peak
 by the decay exponents of the blocks and the pure power, and its error
 estimate comes from halving the step on nested nodes.  Any other axis
-is one adaptive QUADPACK call per outer node, truncated on a ray once a
-geometric segment contributes less than the absolute tolerance.
+is one adaptive QUADPACK call per outer node; an outer ray is mapped onto
+the unit interval by t = s/(1-s).  Each integral is one such pass,
+converged iff its error estimate is within max(rel_tol |value|, abs_tol).
+Before it, a prescan evaluates the block sums on a grid of each cycle (the
+other axes on a reduced grid) and refuses a zero or a sign change of a
+real block sum with SingularOnCycle; it warns where a block with a
+fractional power crosses the branch cut of its logarithm.
 """
 
 import cmath
@@ -40,9 +45,6 @@ from .errors import (
 )
 
 _INT_TOL = 1e-12
-# geometric tail marching on a ray: segment [lo, 3 lo], at most 60 of them
-_TAIL_GROWTH = 3.0
-_TAIL_SEGMENTS = 60
 # innermost ray: halvings of the step 1/8, the depth of the window below
 # the peak in e-folds, how often the window may double; double rounding
 _DE_LEVELS, _DE_DECAY, _DE_WIDEN, _EPS = 6, 40.0, 8, 2.0**-52
@@ -163,6 +165,11 @@ def _normalize_cycle(cycle, r: int) -> tuple[AxisCycle, ...]:
     cycle = tuple(cycle)
     if len(cycle) != r:
         raise DimensionMismatch(f"cycle has arity {len(cycle)}, chart has r = {r}")
+    for ax in cycle:
+        if ax.kind not in ("ray", "real_line", "unit_interval", "unit_circle"):
+            raise OutOfDomain(f"unknown cycle kind {ax.kind!r}")
+        if not math.isfinite(ax.phase):
+            raise OutOfDomain(f"the phase of {ax.describe()} is not finite")
     return cycle
 
 
@@ -231,43 +238,26 @@ def derivative_integral(
     work = _IteratedIntegral(sf, x, fpowers, powers, cycle, settings)
     if prefactor == 0:
         return EvaluationResult(value=0j, error_estimate=0.0, converged=True)
-    work.prescan()
-    value, err, warns, ok = work.run()
-    tol = max(settings.rel_tol * abs(value), settings.abs_tol / abs(prefactor))
-    if ok and err > tol and value != 0:
-        # cancellation between cycle pieces leaves the first pass short
-        # of the band; rerun once with budgets scaled to the observed value
-        boost = min(4.0 * err / tol, 1e4)
-        retry = _IteratedIntegral(
-            sf, x, fpowers, powers, cycle, settings, tol_boost=boost
-        )
-        v2, e2, w2, ok2 = retry.run()
-        if e2 < err:
-            value, err, ok = v2, e2, ok2
-            for msg in w2:
-                if msg not in warns:
-                    warns.append(msg)
+    with np.errstate(all="ignore"):
+        work.prescan()
+    value, err = work.run()
     value *= prefactor
     err *= abs(prefactor)
     tol = max(settings.rel_tol * abs(value), settings.abs_tol)
     return EvaluationResult(
-        value=value,
-        error_estimate=err,
-        converged=ok and err <= tol,
-        warnings=warns,
+        value=value, error_estimate=err, converged=err <= tol, warnings=work.warnings
     )
 
 
 class _IteratedIntegral:
     """Per-axis adaptive quadrature, outermost axis first."""
 
-    def __init__(self, sf, x, fpowers, powers, cycle, settings, tol_boost=1.0):
+    def __init__(self, sf, x, fpowers, powers, cycle, settings):
         self.x = [complex(v) for v in x]
         self.fpowers = fpowers
         self.powers = powers
         self.cycle = cycle
         self.settings = settings
-        self.tol_boost = tol_boost
         self.r = sf.r
         exps = sf.exponents
         self.cols = [
@@ -275,7 +265,6 @@ class _IteratedIntegral:
         ]
         self.blocks = sf.blocks
         self.warnings: list[str] = []
-        self.hard_ok = True
         # largest absolute error and value seen on each inner axis; their
         # ratio bounds the relative noise the outer quadrature integrates
         self.inner_err = [0.0] * self.r
@@ -298,7 +287,8 @@ class _IteratedIntegral:
 
     # -- integrand ---------------------------------------------------------
 
-    def f_values(self, w) -> list[complex]:
+    def f_values(self, w) -> list:
+        # the block sums at w; one array of points per axis gives arrays
         vals = []
         for blk in self.blocks:
             s = 0j
@@ -324,55 +314,44 @@ class _IteratedIntegral:
     # -- pre-scan for zeros on the cycle ------------------------------------
 
     def prescan(self):
+        # along each axis in turn, with the other axes on a reduced grid
         grids = [self._scan_points(ax) for ax in self.cycle]
         reduced = [g if len(g) <= 9 else g[:: max(1, len(g) // 9)] for g in grids]
         scale = max(abs(v) for v in self.x) or 1.0
+        fractional = [not _is_integer(q) for q in self.fpowers]
         for k in range(self.r):
-            others = [reduced[i] for i in range(self.r)]
-            others[k] = [None]
-            for combo in _product(others):
-                prev = None
-                for t in grids[k]:
-                    w = list(combo)
-                    w[k] = t
-                    for i, fv in enumerate(self.f_values(w)):
-                        if abs(fv) < 1e-13 * scale:
-                            raise SingularOnCycle(
-                                f"f_{i + 1} vanishes near w = {w}"
-                            )
-                        if prev is not None:
-                            pv = prev[i]
-                            if (
-                                abs(pv.imag) < 1e-14 * scale
-                                and abs(fv.imag) < 1e-14 * scale
-                                and pv.real * fv.real < 0
-                            ):
-                                raise SingularOnCycle(
-                                    f"f_{i + 1} changes sign along axis {k + 1}"
-                                )
-                            if _arg_jump(pv, fv) and not _is_integer(
-                                self.fpowers[i]
-                            ):
-                                # integer powers are single valued; a cut
-                                # crossing only matters for fractional ones
-                                self._warn(
-                                    f"f_{i + 1} crosses the branch cut "
-                                    f"along axis {k + 1}"
-                                )
-                    prev = self.f_values(w)
+            # w[axis][c, t]: combination c of the other axes, step t along k
+            mesh = np.meshgrid(*reduced[:k], *reduced[k + 1 :], grids[k], indexing="ij")
+            w = [a.reshape(-1, len(grids[k])) for a in mesh]
+            w.insert(k, w.pop())
+            f = np.stack(np.broadcast_arrays(*self.f_values(w)), axis=-1)
+            vanish = abs(f) < 1e-13 * scale
+            real = abs(f.imag) < 1e-14 * scale
+            flip = real[:, 1:] & real[:, :-1] & (f.real[:, 1:] * f.real[:, :-1] < 0)
+            flip = np.concatenate((np.zeros_like(flip[:, :1]), flip), axis=1)
+            # the first failure in scan order: point, block, zero before sign
+            bad = np.flatnonzero(np.stack((vanish, flip), axis=-1))
+            if bad.size:
+                c, t, i, sign = np.unravel_index(bad[0], vanish.shape + (2,))
+                if sign:
+                    raise SingularOnCycle(f"f_{i + 1} changes sign along axis {k + 1}")
+                at = [complex(a[c, t]) for a in w]
+                raise SingularOnCycle(f"f_{i + 1} vanishes near w = {at}")
+            # integer powers are single valued; a cut crossing only matters
+            # for fractional ones
+            jump = (abs(np.angle(f[:, 1:] / f[:, :-1])) > 3.0) & fractional
+            for i in dict.fromkeys(np.flatnonzero(jump) % len(self.blocks)):
+                self._warn(f"f_{i + 1} crosses the branch cut along axis {k + 1}")
 
-    def _scan_points(self, ax: AxisCycle) -> list[complex]:
+    def _scan_points(self, ax: AxisCycle) -> np.ndarray:
         if ax.kind == "ray":
-            rot = cmath.exp(1j * ax.phase)
-            return [rot * t for t in np.geomspace(1e-4, 1e4, 33)]
+            return cmath.exp(1j * ax.phase) * np.geomspace(1e-4, 1e4, 33)
         if ax.kind == "real_line":
             ts = np.geomspace(1e-4, 1e4, 17)
-            return [-t for t in ts[::-1]] + list(ts)
+            return np.concatenate((-ts[::-1], ts))
         if ax.kind == "unit_interval":
-            return list(np.linspace(1.0 / 64, 1 - 1.0 / 64, 33))
-        if ax.kind == "unit_circle":
-            return [cmath.exp(2j * math.pi * s / 32) for s in range(32)]
-        raise ValueError(f"unknown cycle kind {ax.kind!r}")
+            return np.linspace(1.0 / 64, 1 - 1.0 / 64, 33)
+        return np.exp(2j * math.pi * np.arange(32) / 32)
 
     def _warn(self, msg: str):
         if msg not in self.warnings:
@@ -399,12 +378,12 @@ class _IteratedIntegral:
             for k in range(1, self.r)
         )
         err = self.outer_err + abs(value) * noise
-        return value, err, self.warnings, self.hard_ok
+        return value, err
 
     def _axis_tols(self, k: int):
         s = self.settings
         shrink = 2 * 4**k
-        rel = max(s.rel_tol / (shrink * self.tol_boost), 2e-14)
+        rel = max(s.rel_tol / shrink, 2e-14)
         return rel, s.abs_tol / shrink
 
     def _axis(self, k: int, w) -> complex:
@@ -453,7 +432,7 @@ class _IteratedIntegral:
                     inner = self._inner(k, w)
                     return inner * cmath.exp((p - 1) * math.log(t))
 
-            return self._quad(h, 0.0, 1.0, k)[:2]
+            return self._quad(h, 0.0, 1.0, k)
 
         if spec == "unit_circle":
 
@@ -462,7 +441,7 @@ class _IteratedIntegral:
                 inner = self._inner(k, w)
                 return inner * 2j * math.pi * cmath.exp(2j * math.pi * p * s)
 
-            return self._quad(h, 0.0, 1.0, k)[:2]
+            return self._quad(h, 0.0, 1.0, k)
 
         # rotated ray with phase theta
         theta = spec
@@ -561,53 +540,18 @@ class _IteratedIntegral:
         return self._axis(k + 1, list(w))
 
     def _ray(self, h, k):
-        # default treatment of the unbounded axis: map t = s/(1-s) onto
-        # the unit interval and let the extrapolating rule work through
-        # the algebraic endpoints in a single call
+        # map t = s/(1-s) onto the unit interval and let the extrapolating
+        # rule work through the algebraic endpoints in a single call
         def g(s):
             om = 1.0 - s
             return h(s / om) / (om * om)
 
-        rel, at = self._axis_tols(k)
-        val, err, warned = self._quad(g, 0.0, 1.0, k, record=False)
-        if not warned or err <= max(at, rel * abs(val)):
-            # the roundoff complaint is advisory; the returned estimate
-            # is still a valid bound and may already meet the budget
-            return val, err
-        try:
-            return self._ray_marched(h, k)
-        except NotConverged:
-            if not cmath.isfinite(val) or err > 0.1 * abs(val):
-                raise
-            self.hard_ok = False
-            self._warn(f"quadrature warning on axis {k + 1}")
-            return val, err
+        val, err = self._quad(g, 0.0, 1.0, k)
+        if not (cmath.isfinite(val) and math.isfinite(err)):
+            raise NotConverged(f"the integral does not settle on axis {k + 1}")
+        return val, err
 
-    def _ray_marched(self, h, k):
-        # fallback: geometric tail marching until the last segment no
-        # longer contributes
-        rel, at = self._axis_tols(k)
-        total, err, _ = self._quad(h, 0.0, 1.0, k)
-        lo, g = 1.0, _TAIL_GROWTH
-        quiet = 0
-        for _ in range(_TAIL_SEGMENTS):
-            v, e, _ = self._quad(h, lo, lo * g, k)
-            total += v
-            err += e
-            lo *= g
-            if abs(v) <= max(at, rel * abs(total)):
-                quiet += 1
-                if quiet >= 2:
-                    err += abs(v)  # geometric-tail truncation allowance
-                    return total, err
-            else:
-                quiet = 0
-        raise NotConverged(
-            f"ray tail on axis {k + 1} still contributes after "
-            f"{_TAIL_SEGMENTS} geometric segments"
-        )
-
-    def _quad(self, h, a, b, k, record=True):
+    def _quad(self, h, a, b, k):
         rel, at = self._axis_tols(k)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always", IntegrationWarning)
@@ -631,10 +575,7 @@ class _IteratedIntegral:
                     limit=self.settings.max_subdivisions,
                     complex_func=True,
                 )
-        warned = any(
-            issubclass(item.category, IntegrationWarning) for item in caught
-        )
-        if warned and record:
+        if any(issubclass(item.category, IntegrationWarning) for item in caught):
             # QUADPACK could not hit the per-axis budget; its achieved
             # error estimate is still honest and flows into the final
             # converged test, so the complaint is advisory
@@ -643,23 +584,7 @@ class _IteratedIntegral:
             # complex_func=True packs the two QUADPACK error estimates
             # into real and imaginary parts
             err = abs(err.real) + abs(err.imag)
-        return complex(val), float(err), warned
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield (head,) + rest
-
-
-def _arg_jump(prev: complex, cur: complex) -> bool:
-    if prev == 0 or cur == 0:
-        return False
-    dphi = cmath.phase(cur / prev)
-    return abs(dphi) > 3.0
+        return complex(val), float(err)
 
 
 # ==========================================================================

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none checks anything with ``assert``, and no private module-level function
-or class is left without a reference.
+none checks anything with ``assert``, and no private module-level function,
+class or constant and no private method is left without a reference.
 
 No linter ships with the test dependencies, so this is the pyflakes F401
 check for the package's own modules, done with ``ast``.  An import kept on
@@ -87,21 +87,51 @@ def _referenced_names(node) -> set[str]:
     return names
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined_names(node) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+def _attributes(node, name: str) -> int:
+    return sum(isinstance(sub, ast.Attribute) and sub.attr == name
+               for sub in ast.walk(node))
+
+
 def unreferenced_private(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions and classes that no other top-level
-    statement of the package names (a recursive call does not count)."""
-    statements = [(module, node) for module, source in sorted(sources.items())
-                  for node in ast.parse(source).body]
+    """Private module-level functions, classes and constants that no other
+    top-level statement of the package names (a recursive call does not
+    count), and private methods that no attribute of the package names
+    outside their own body."""
+    trees = [(module, ast.parse(source)) for module, source in sorted(sources.items())]
+    statements = [(module, node) for module, tree in trees for node in tree.body]
     out = []
     for module, node in statements:
-        kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        if not isinstance(node, kinds) or not node.name.startswith("_"):
+        for name in filter(_private, _defined_names(node)):
+            if not any(name in _referenced_names(other)
+                       for _, other in statements if other is not node):
+                out.append(f"{module} line {node.lineno}: {name}")
+        if not isinstance(node, ast.ClassDef):
             continue
-        if node.name.startswith("__"):
-            continue
-        if not any(node.name in _referenced_names(other)
-                   for _, other in statements if other is not node):
-            out.append(f"{module} line {node.lineno}: {node.name}")
+        for method in node.body:
+            if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _private(method.name)
+                    and sum(_attributes(tree, method.name) for _, tree in trees)
+                    == _attributes(method, method.name)):
+                out.append(f"{module} line {method.lineno}: {node.name}.{method.name}")
     return out
 
 
@@ -117,6 +147,21 @@ def test_scan_flags_an_unreferenced_private_definition():
     assert unreferenced_private({**helper, "b.py": "from .a import _f\n"}) == []
     attribute = {"b.py": "from . import a\nx = a._f()\n"}
     assert unreferenced_private({**helper, **attribute}) == []
+
+
+def test_scan_flags_unreferenced_private_methods_and_constants():
+    src = ("_LIMIT, _SPARE = 3, 4\n_TABLE: dict = {}\n\n"
+           "class C:\n"
+           "    def _kept(self):\n        return _LIMIT\n\n"
+           "    def _orphan(self, k):\n"
+           "        return self._orphan(k - 1) if k else _TABLE\n\n"
+           "    def __repr__(self):\n        return 'C'\n\n"
+           "def public():\n    return C()._kept()\n")
+    assert unreferenced_private({"m.py": src}) == [
+        "m.py line 1: _SPARE", "m.py line 8: C._orphan"]
+    # an attribute in another module keeps a method, an import a constant
+    other = {"n.py": "from .m import _SPARE\n\ndef f(c):\n    return c._orphan(1)\n"}
+    assert unreferenced_private({"m.py": src, **other}) == []
 
 
 def test_no_unreferenced_private_definitions():
